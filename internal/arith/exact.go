@@ -25,17 +25,23 @@ import (
 //     if the rounded result is not *exactly on* a boundary, the exact
 //     result is provably on the same side (|exact-r| <= ½ulp(r) while
 //     |r-B| >= 1 ulp), so rounding r rounds the exact result. A result
-//     exactly on a boundary — one float64 pattern in 2^38 — resolves
-//     by an exact residual: the TwoSum compensation for sums, an FMA
-//     remainder for divisions and square roots (boundaryTie in
-//     table.go).
+//     exactly on a boundary resolves by an exact residual. For sums —
+//     where boundary hits are common, since the sum of two format
+//     values is usually exact and often lands on a midpoint — the
+//     kernels take the TwoSum residual inline (sumTieUp): zero is a
+//     genuine tie, rounded to the even pattern as for products, and a
+//     nonzero residual says which side the exact sum is on. Quotients
+//     and roots, where hits are rare, leave the kernel and resolve by
+//     an FMA remainder (boundaryTie in table.go).
 //
 // The upshot: the kernel loops below never call the bit-pattern
 // pipeline. The common case is one dropByE load plus ~10 integer ops
-// in registers; the rare cases (specials, region scales, boundary
-// hits, overflow) go through Tables.roundFrom, which is still pure
-// table lookups plus a binary search. Bit-identity with the scalar
-// pipeline is asserted exhaustively in table_test.go.
+// in registers, with no branch on the rounding direction (roundBits);
+// the rare cases (specials, region scales, quotient boundary hits,
+// overflow) go through Tables.roundFrom, which is still pure table
+// lookups plus a binary search within one binade. Bit-identity with the
+// scalar pipeline is asserted exhaustively in table_test.go and, for
+// operands aimed at sum boundaries, in tie_test.go.
 //
 // Eligibility (checked by exactEligibleMini and FastPosit): width <=
 // 16 and the product of any two format values representable as a
@@ -84,14 +90,46 @@ func (t *Tables) valuePat(x float64) uint16 {
 	return t.pattern(t.exactPat(math.Float64bits(x)&^signBit64), math.Signbit(x))
 }
 
+// --- inline rounding ---
+
+// roundBits rounds the magnitude bits ab to nearest, clearing the
+// discarded low bits mask = 2^drop-1 (drop >= 1); up (0 or 1) decides a
+// value exactly halfway, 1 rounding away from zero. Adding half-1+up
+// and truncating needs no branch, and a carry out of the mantissa lands
+// on the next binade's first value, since float64 bits are
+// value-ordered.
+//
+// The callers load drop as dropByE[e]&63: entries never exceed 52, and
+// the mask tells the compiler every shift by drop stays below 64, which
+// spares the hot loops its out-of-range shift fixups.
+func roundBits(ab, mask, up uint64) uint64 {
+	return (ab + mask>>1 + up) &^ mask
+}
+
+// sumTieUp decides a sum r = fl(x+y) whose magnitude sits exactly on a
+// rounding boundary. The Knuth TwoSum residual e = x+y-r is exact: zero
+// means a genuine tie, which goes to the even pattern (up = lsb, the
+// kept-bit parity, as for exact products); otherwise the exact sum is
+// beyond the boundary in magnitude (up = 1) when e has r's sign. For
+// two format values e is always zero (their sum is exact wherever it
+// meets a boundary); only an addend off the format grid makes it not.
+func sumTieUp(x, y, r float64, sb, lsb uint64) uint64 {
+	bv := r - x
+	e := (x - (r - bv)) + (y - bv)
+	if e == 0 {
+		return lsb
+	}
+	return (math.Float64bits(e) ^ sb ^ signBit64) >> 63
+}
+
 // --- scalar operations ---
 //
 // Each op: native float64 arithmetic, then the inline rounder — look
-// up the discard width for the result's exponent, split mantissa at
-// the rounding boundary, resolve direction (and, for exact products,
-// ties by parity), check overflow — falling back to Tables.roundFrom
-// for everything dropByE maps to 0 (zeros, specials, region scales)
-// plus boundary hits and overflow.
+// up the discard width for the result's exponent, round the mantissa
+// at that width (ties of exact products by parity, boundary hits of
+// sums by the TwoSum residual), check overflow — falling back to
+// Tables.roundFrom for everything dropByE maps to 0 (zeros, specials,
+// region scales) plus quotient boundary hits and overflow.
 
 func (k *exactKernels) add(x, y float64) float64 {
 	t := k.lt.get()
@@ -99,17 +137,14 @@ func (k *exactKernels) add(x, y float64) float64 {
 	ab := math.Float64bits(r)
 	sb := ab & signBit64
 	ab ^= sb
-	if drop := uint(t.dropByE[ab>>52]); drop != 0 {
-		disc := ab & (1<<drop - 1)
-		half := uint64(1) << (drop - 1)
-		if disc != half {
-			rb := ab - disc
-			if disc > half {
-				rb += 1 << drop
-			}
-			if rb <= t.maxFinBits {
-				return math.Float64frombits(rb | sb)
-			}
+	if drop := uint(t.dropByE[ab>>52]) & 63; drop != 0 {
+		mask := uint64(1)<<drop - 1
+		up := ab >> drop & 1
+		if ab&mask == mask>>1+1 {
+			up = sumTieUp(x, y, r, sb, up)
+		}
+		if rb := roundBits(ab, mask, up); rb <= t.maxFinBits {
+			return math.Float64frombits(rb | sb)
 		}
 	}
 	return t.roundFrom(r, tieSum, x, y)
@@ -121,16 +156,11 @@ func (k *exactKernels) mul(x, y float64) float64 {
 	ab := math.Float64bits(r)
 	sb := ab & signBit64
 	ab ^= sb
-	if drop := uint(t.dropByE[ab>>52]); drop != 0 {
-		disc := ab & (1<<drop - 1)
-		half := uint64(1) << (drop - 1)
-		rb := ab - disc
+	if drop := uint(t.dropByE[ab>>52]) & 63; drop != 0 {
 		// The product is exact, so a boundary hit is a genuine tie:
 		// round to the even pattern via the kept-bit parity.
-		if disc > half || (disc == half && ab&(1<<drop) != 0) {
-			rb += 1 << drop
-		}
-		if rb <= t.maxFinBits {
+		mask := uint64(1)<<drop - 1
+		if rb := roundBits(ab, mask, ab>>drop&1); rb <= t.maxFinBits {
 			return math.Float64frombits(rb | sb)
 		}
 	}
@@ -148,15 +178,11 @@ func (k *exactKernels) div(x, y float64) float64 {
 	ab := math.Float64bits(r)
 	sb := ab & signBit64
 	ab ^= sb
-	if drop := uint(t.dropByE[ab>>52]); drop != 0 {
-		disc := ab & (1<<drop - 1)
-		half := uint64(1) << (drop - 1)
-		if disc != half {
-			rb := ab - disc
-			if disc > half {
-				rb += 1 << drop
-			}
-			if rb <= t.maxFinBits {
+	if drop := uint(t.dropByE[ab>>52]) & 63; drop != 0 {
+		// Off a boundary the halfway rule never applies (up = 0).
+		mask := uint64(1)<<drop - 1
+		if ab&mask != mask>>1+1 {
+			if rb := roundBits(ab, mask, 0); rb <= t.maxFinBits {
 				return math.Float64frombits(rb | sb)
 			}
 		}
@@ -174,10 +200,11 @@ func (k *exactKernels) sqrtVal(x float64) float64 {
 
 // --- slice kernels ---
 //
-// The loops repeat the scalar rounding logic inline (no call on the
-// hot path; the Go inliner refuses functions with fallback calls).
-// Any deviation from add/mul/div above is a bug — table_test.go pins
-// them together differentially.
+// The loops repeat the scalar rounding logic inline (the Go inliner
+// refuses functions with fallback calls, so only the call-free
+// roundBits and sumTieUp are shared). Any deviation from add/mul/div
+// above is a bug — table_test.go and kernels_test.go pin them together
+// differentially.
 
 func (k *exactKernels) dot(x, y []Num) Num {
 	t := k.lt.get()
@@ -190,14 +217,9 @@ func (k *exactKernels) dot(x, y []Num) Num {
 		ab := math.Float64bits(m)
 		sb := ab & signBit64
 		ab ^= sb
-		if drop := uint(drops[ab>>52]); drop != 0 {
-			disc := ab & (1<<drop - 1)
-			half := uint64(1) << (drop - 1)
-			rb := ab - disc
-			if disc > half || (disc == half && ab&(1<<drop) != 0) {
-				rb += 1 << drop
-			}
-			if rb <= maxFin {
+		if drop := uint(drops[ab>>52]) & 63; drop != 0 {
+			mask := uint64(1)<<drop - 1
+			if rb := roundBits(ab, mask, ab>>drop&1); rb <= maxFin {
 				m = math.Float64frombits(rb | sb)
 				goto sum
 			}
@@ -216,18 +238,15 @@ func (k *exactKernels) dot(x, y []Num) Num {
 			ab = math.Float64bits(r)
 			sb = ab & signBit64
 			ab ^= sb
-			if drop := uint(drops[ab>>52]); drop != 0 {
-				disc := ab & (1<<drop - 1)
-				half := uint64(1) << (drop - 1)
-				if disc != half {
-					rb := ab - disc
-					if disc > half {
-						rb += 1 << drop
-					}
-					if rb <= maxFin {
-						s = math.Float64frombits(rb | sb)
-						continue
-					}
+			if drop := uint(drops[ab>>52]) & 63; drop != 0 {
+				mask := uint64(1)<<drop - 1
+				up := ab >> drop & 1
+				if ab&mask == mask>>1+1 {
+					up = sumTieUp(s, m, r, sb, up)
+				}
+				if rb := roundBits(ab, mask, up); rb <= maxFin {
+					s = math.Float64frombits(rb | sb)
+					continue
 				}
 			} else if ab == 0 {
 				if ieee {
@@ -252,14 +271,9 @@ func (k *exactKernels) scale(alpha Num, x []Num) {
 		ab := math.Float64bits(m)
 		sb := ab & signBit64
 		ab ^= sb
-		if drop := uint(drops[ab>>52]); drop != 0 {
-			disc := ab & (1<<drop - 1)
-			half := uint64(1) << (drop - 1)
-			rb := ab - disc
-			if disc > half || (disc == half && ab&(1<<drop) != 0) {
-				rb += 1 << drop
-			}
-			if rb <= maxFin {
+		if drop := uint(drops[ab>>52]) & 63; drop != 0 {
+			mask := uint64(1)<<drop - 1
+			if rb := roundBits(ab, mask, ab>>drop&1); rb <= maxFin {
 				x[i] = Num(rb | sb)
 				continue
 			}
@@ -287,14 +301,9 @@ func (k *exactKernels) fma(a float64, x, y, dst []Num) {
 		ab := math.Float64bits(m)
 		sb := ab & signBit64
 		ab ^= sb
-		if drop := uint(drops[ab>>52]); drop != 0 {
-			disc := ab & (1<<drop - 1)
-			half := uint64(1) << (drop - 1)
-			rb := ab - disc
-			if disc > half || (disc == half && ab&(1<<drop) != 0) {
-				rb += 1 << drop
-			}
-			if rb <= maxFin {
+		if drop := uint(drops[ab>>52]) & 63; drop != 0 {
+			mask := uint64(1)<<drop - 1
+			if rb := roundBits(ab, mask, ab>>drop&1); rb <= maxFin {
 				m = math.Float64frombits(rb | sb)
 				goto sum
 			}
@@ -312,18 +321,15 @@ func (k *exactKernels) fma(a float64, x, y, dst []Num) {
 			ab = math.Float64bits(r)
 			sb = ab & signBit64
 			ab ^= sb
-			if drop := uint(drops[ab>>52]); drop != 0 {
-				disc := ab & (1<<drop - 1)
-				half := uint64(1) << (drop - 1)
-				if disc != half {
-					rb := ab - disc
-					if disc > half {
-						rb += 1 << drop
-					}
-					if rb <= maxFin {
-						dst[i] = Num(rb | sb)
-						continue
-					}
+			if drop := uint(drops[ab>>52]) & 63; drop != 0 {
+				mask := uint64(1)<<drop - 1
+				up := ab >> drop & 1
+				if ab&mask == mask>>1+1 {
+					up = sumTieUp(m, yi, r, sb, up)
+				}
+				if rb := roundBits(ab, mask, up); rb <= maxFin {
+					dst[i] = Num(rb | sb)
+					continue
 				}
 			} else if ab == 0 {
 				if ieee {
@@ -348,14 +354,9 @@ func (k *exactKernels) matVec(rowPtr, col []int, val []Num, x, y []Num) {
 			ab := math.Float64bits(m)
 			sb := ab & signBit64
 			ab ^= sb
-			if drop := uint(drops[ab>>52]); drop != 0 {
-				disc := ab & (1<<drop - 1)
-				half := uint64(1) << (drop - 1)
-				rb := ab - disc
-				if disc > half || (disc == half && ab&(1<<drop) != 0) {
-					rb += 1 << drop
-				}
-				if rb <= maxFin {
+			if drop := uint(drops[ab>>52]) & 63; drop != 0 {
+				mask := uint64(1)<<drop - 1
+				if rb := roundBits(ab, mask, ab>>drop&1); rb <= maxFin {
 					m = math.Float64frombits(rb | sb)
 					goto sum
 				}
@@ -372,18 +373,15 @@ func (k *exactKernels) matVec(rowPtr, col []int, val []Num, x, y []Num) {
 				ab = math.Float64bits(r)
 				sb = ab & signBit64
 				ab ^= sb
-				if drop := uint(drops[ab>>52]); drop != 0 {
-					disc := ab & (1<<drop - 1)
-					half := uint64(1) << (drop - 1)
-					if disc != half {
-						rb := ab - disc
-						if disc > half {
-							rb += 1 << drop
-						}
-						if rb <= maxFin {
-							s = math.Float64frombits(rb | sb)
-							continue
-						}
+				if drop := uint(drops[ab>>52]) & 63; drop != 0 {
+					mask := uint64(1)<<drop - 1
+					up := ab >> drop & 1
+					if ab&mask == mask>>1+1 {
+						up = sumTieUp(s, m, r, sb, up)
+					}
+					if rb := roundBits(ab, mask, up); rb <= maxFin {
+						s = math.Float64frombits(rb | sb)
+						continue
 					}
 				} else if ab == 0 {
 					if ieee {
@@ -411,15 +409,10 @@ func (k *exactKernels) divK(alpha Num, x []Num) {
 		ab := math.Float64bits(r)
 		sb := ab & signBit64
 		ab ^= sb
-		if drop := uint(drops[ab>>52]); drop != 0 {
-			disc := ab & (1<<drop - 1)
-			half := uint64(1) << (drop - 1)
-			if disc != half {
-				rb := ab - disc
-				if disc > half {
-					rb += 1 << drop
-				}
-				if rb <= maxFin {
+		if drop := uint(drops[ab>>52]) & 63; drop != 0 {
+			mask := uint64(1)<<drop - 1
+			if ab&mask != mask>>1+1 {
+				if rb := roundBits(ab, mask, 0); rb <= maxFin {
 					x[i] = Num(rb | sb)
 					continue
 				}

@@ -34,6 +34,18 @@ func LoadOrBuildPositTablesForTest(dir string, c posit.Config) *Tables {
 	return loadOrBuildTables(dir, positSpec(c), func() *Tables { return buildPositTables(c) })
 }
 
+// LoadOrBuildTablesForTest is LoadOrBuildPositTablesForTest for any
+// table-backed fast format; an empty dir always builds from scratch.
+func LoadOrBuildTablesForTest(dir string, f Format) *Tables {
+	switch v := f.(type) {
+	case fastPosit:
+		return loadOrBuildTables(dir, positSpec(v.c), func() *Tables { return buildPositTables(v.c) })
+	case fastMini:
+		return loadOrBuildTables(dir, miniSpec(v.f), func() *Tables { return buildMiniTables(v.f) })
+	}
+	return nil
+}
+
 // BuildMiniTablesForTest runs a from-scratch minifloat table build
 // (the table-build benchmark times it).
 func BuildMiniTablesForTest(f minifloat.Format) *Tables { return buildMiniTables(f) }
@@ -44,3 +56,7 @@ func MarshalTablesForTest(t *Tables) []byte { return t.marshalBinary() }
 // CutsForTest exposes the rounding-boundary table: cut[p] is the
 // magnitude where patterns p-1 and p meet.
 func CutsForTest(t *Tables) []uint64 { return t.cut }
+
+// SearchForTest exposes the binade-bounded boundary search: the largest
+// p with cut[p] <= a, for magnitude bits a.
+func SearchForTest(t *Tables, a uint64) uint32 { return t.search(a) }

@@ -87,7 +87,9 @@ func cloneNums(x []arith.Num) []arith.Num { return append([]arith.Num(nil), x...
 // the defining sequence of scalar Format operations — the pre-kernel
 // inner loops of linalg and the solvers — on randomized slices laced
 // with NaR/Inf/zero patterns, for every registered format and the slow
-// reference implementations.
+// reference implementations. The scale runs over ±0 (zero products,
+// signed zeros), 1 and 2^-3 (exact products, so the sums meet operand
+// ties unchanged) and 1/3 (rounded products).
 func TestKernelsMatchScalarLoops(t *testing.T) {
 	n := 257 // odd, not a chunk multiple
 	if testing.Short() {
@@ -98,7 +100,9 @@ func TestKernelsMatchScalarLoops(t *testing.T) {
 			bk := arith.BulkOf(f)
 			x := kernelOperands(f, n, 0x9E3779B97F4A7C15)
 			y := kernelOperands(f, n, 0xD1B54A32D192ED03)
-			alpha := f.FromFloat64(1.0 / 3.0)
+			for _, a := range []float64{1.0 / 3.0, 0, math.Copysign(0, -1), 1, 0.125} {
+				checkScaledKernels(t, f, f.FromFloat64(a), x, y)
+			}
 
 			// Dot: s = Add(s, Mul(x[i], y[i])), left to right.
 			want := f.Zero()
@@ -107,73 +111,6 @@ func TestKernelsMatchScalarLoops(t *testing.T) {
 			}
 			if got := bk.DotKernel(x, y); !eqNum(f, got, want) {
 				t.Errorf("DotKernel = %g, scalar loop = %g", f.ToFloat64(got), f.ToFloat64(want))
-			}
-
-			// Axpy: y[i] = Add(y[i], Mul(alpha, x[i])).
-			wy := cloneNums(y)
-			for i := range x {
-				wy[i] = f.Add(wy[i], f.Mul(alpha, x[i]))
-			}
-			gy := cloneNums(y)
-			bk.AxpyKernel(alpha, x, gy)
-			for i := range wy {
-				if !eqNum(f, gy[i], wy[i]) {
-					t.Fatalf("AxpyKernel[%d] = %g, scalar = %g", i, f.ToFloat64(gy[i]), f.ToFloat64(wy[i]))
-				}
-			}
-
-			// Scale: x[i] = Mul(alpha, x[i]).
-			wx := cloneNums(x)
-			for i := range wx {
-				wx[i] = f.Mul(alpha, wx[i])
-			}
-			gx := cloneNums(x)
-			bk.ScaleKernel(alpha, gx)
-			for i := range wx {
-				if !eqNum(f, gx[i], wx[i]) {
-					t.Fatalf("ScaleKernel[%d] = %g, scalar = %g", i, f.ToFloat64(gx[i]), f.ToFloat64(wx[i]))
-				}
-			}
-
-			// MulAdd: dst[i] = Add(Mul(alpha, x[i]), y[i]), and the CG
-			// form Add(y[i], Mul(alpha, x[i])) must agree with it (the
-			// rewired p-update relies on that commutativity).
-			wd := make([]arith.Num, n)
-			for i := range x {
-				wd[i] = f.Add(f.Mul(alpha, x[i]), y[i])
-				cg := f.Add(y[i], f.Mul(alpha, x[i]))
-				if !eqNum(f, wd[i], cg) {
-					t.Fatalf("Add not commutative at %d: %g vs %g", i, f.ToFloat64(wd[i]), f.ToFloat64(cg))
-				}
-			}
-			gd := make([]arith.Num, n)
-			bk.MulAddKernel(alpha, x, y, gd)
-			for i := range wd {
-				if !eqNum(f, gd[i], wd[i]) {
-					t.Fatalf("MulAddKernel[%d] = %g, scalar = %g", i, f.ToFloat64(gd[i]), f.ToFloat64(wd[i]))
-				}
-			}
-			// Aliased dst (dst = x), as the CG direction update calls it.
-			ga := cloneNums(x)
-			bk.MulAddKernel(alpha, ga, y, ga)
-			for i := range wd {
-				if !eqNum(f, ga[i], wd[i]) {
-					t.Fatalf("aliased MulAddKernel[%d] = %g, scalar = %g", i, f.ToFloat64(ga[i]), f.ToFloat64(wd[i]))
-				}
-			}
-
-			// TrailingUpdate with the negated scale must reproduce the
-			// Cholesky form Sub(w[i], Mul(alpha, x[i])) bit for bit.
-			ww := cloneNums(y)
-			for i := range x {
-				ww[i] = f.Sub(ww[i], f.Mul(alpha, x[i]))
-			}
-			gw := cloneNums(y)
-			bk.TrailingUpdateKernel(f.Neg(alpha), x, gw)
-			for i := range ww {
-				if !eqNum(f, gw[i], ww[i]) {
-					t.Fatalf("TrailingUpdateKernel[%d] = %g, scalar Sub = %g", i, f.ToFloat64(gw[i]), f.ToFloat64(ww[i]))
-				}
 			}
 
 			// MatVec on a synthetic CSR band: y[i] via the scalar
@@ -205,6 +142,82 @@ func TestKernelsMatchScalarLoops(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkScaledKernels runs every kernel that takes a scale alpha on x
+// and y against its defining scalar loop.
+func checkScaledKernels(t *testing.T, f arith.Format, alpha arith.Num, x, y []arith.Num) {
+	t.Helper()
+	n := len(x)
+	bk := arith.BulkOf(f)
+	av := f.ToFloat64(alpha)
+
+	// Axpy: y[i] = Add(y[i], Mul(alpha, x[i])).
+	wy := cloneNums(y)
+	for i := range x {
+		wy[i] = f.Add(wy[i], f.Mul(alpha, x[i]))
+	}
+	gy := cloneNums(y)
+	bk.AxpyKernel(alpha, x, gy)
+	for i := range wy {
+		if !eqNum(f, gy[i], wy[i]) {
+			t.Fatalf("alpha=%g: AxpyKernel[%d] = %g, scalar = %g", av, i, f.ToFloat64(gy[i]), f.ToFloat64(wy[i]))
+		}
+	}
+
+	// Scale: x[i] = Mul(alpha, x[i]).
+	wx := cloneNums(x)
+	for i := range wx {
+		wx[i] = f.Mul(alpha, wx[i])
+	}
+	gx := cloneNums(x)
+	bk.ScaleKernel(alpha, gx)
+	for i := range wx {
+		if !eqNum(f, gx[i], wx[i]) {
+			t.Fatalf("alpha=%g: ScaleKernel[%d] = %g, scalar = %g", av, i, f.ToFloat64(gx[i]), f.ToFloat64(wx[i]))
+		}
+	}
+
+	// MulAdd: dst[i] = Add(Mul(alpha, x[i]), y[i]), and the CG
+	// form Add(y[i], Mul(alpha, x[i])) must agree with it (the
+	// rewired p-update relies on that commutativity).
+	wd := make([]arith.Num, n)
+	for i := range x {
+		wd[i] = f.Add(f.Mul(alpha, x[i]), y[i])
+		cg := f.Add(y[i], f.Mul(alpha, x[i]))
+		if !eqNum(f, wd[i], cg) {
+			t.Fatalf("alpha=%g: Add not commutative at %d: %g vs %g", av, i, f.ToFloat64(wd[i]), f.ToFloat64(cg))
+		}
+	}
+	gd := make([]arith.Num, n)
+	bk.MulAddKernel(alpha, x, y, gd)
+	for i := range wd {
+		if !eqNum(f, gd[i], wd[i]) {
+			t.Fatalf("alpha=%g: MulAddKernel[%d] = %g, scalar = %g", av, i, f.ToFloat64(gd[i]), f.ToFloat64(wd[i]))
+		}
+	}
+	// Aliased dst (dst = x), as the CG direction update calls it.
+	ga := cloneNums(x)
+	bk.MulAddKernel(alpha, ga, y, ga)
+	for i := range wd {
+		if !eqNum(f, ga[i], wd[i]) {
+			t.Fatalf("alpha=%g: aliased MulAddKernel[%d] = %g, scalar = %g", av, i, f.ToFloat64(ga[i]), f.ToFloat64(wd[i]))
+		}
+	}
+
+	// TrailingUpdate with the negated scale must reproduce the
+	// Cholesky form Sub(w[i], Mul(alpha, x[i])) bit for bit.
+	ww := cloneNums(y)
+	for i := range x {
+		ww[i] = f.Sub(ww[i], f.Mul(alpha, x[i]))
+	}
+	gw := cloneNums(y)
+	bk.TrailingUpdateKernel(f.Neg(alpha), x, gw)
+	for i := range ww {
+		if !eqNum(f, gw[i], ww[i]) {
+			t.Fatalf("alpha=%g: TrailingUpdateKernel[%d] = %g, scalar Sub = %g", av, i, f.ToFloat64(gw[i]), f.ToFloat64(ww[i]))
+		}
 	}
 }
 

@@ -45,8 +45,10 @@ type Tables struct {
 	// clamp to maxpos). cut[0] = 0 anchors the search. Positive
 	// patterns are value-ordered in both systems and float64 bits are
 	// value-ordered for positive floats, so the table is sorted and the
-	// locate step is a branch-predictable binary search — no bit-
-	// pattern pipeline anywhere.
+	// locate step is a binary search over the cuts of the input's
+	// binade (cutByE) — no bit-pattern pipeline anywhere. The kernels
+	// reach it only off their inline paths: region scales, quotient
+	// boundary hits, overflow, and specials.
 	cut []uint64
 	// maxFinBits is math.Float64bits(decode[maxPat]) — the bit-domain
 	// overflow check on the kernel hot paths.
@@ -72,6 +74,16 @@ type Tables struct {
 	// the raw exponent field directly so the kernel loops do one load
 	// instead of a range check plus a signed index.
 	dropByE [2048]uint8
+	// cutByE[e] for a float64 biased exponent e (0..2048) is the
+	// pattern the binade's first magnitude e<<52 lies in: the largest p
+	// with cut[p] <= e<<52. Every magnitude of binade e lies in a
+	// pattern between cutByE[e] and cutByE[e+1], so locate searches
+	// only that range — about fb probes in a binade with fb fraction
+	// bits, one or two in the region scales, instead of 16. Derived
+	// from cut in finalize; the cache does not store it. (uint16 holds
+	// any index: a <=16-bit format has fewer than 2^15 positive
+	// patterns.)
+	cutByE [2049]uint16
 }
 
 // finalize derives the redundant hot-path tables; called after both
@@ -81,6 +93,14 @@ func (t *Tables) finalize() {
 		if b >= 1 {
 			t.dropByE[t.minScale+i+1023] = uint8(52 - int(b))
 		}
+	}
+	p := 0
+	for e := range t.cutByE {
+		first := uint64(e) << 52
+		for p+1 < len(t.cut) && t.cut[p+1] <= first {
+			p++
+		}
+		t.cutByE[e] = uint16(p)
 	}
 }
 
@@ -251,13 +271,13 @@ func boundaryTie(op uint8, x, y, r float64) int {
 	return -1
 }
 
-// locate returns the positive pattern whose rounding interval contains
-// the magnitude with float64 bits a (0 < value < ∞). For IEEE formats
-// the result can be maxPat+1, meaning overflow to infinity; posits
-// clamp to maxpos and never round a nonzero magnitude to zero.
-func (t *Tables) locate(a uint64, op uint8, x, y, r float64) uint32 {
+// search returns the largest p with cut[p] <= a, for magnitude bits a
+// (sign bit clear), bisecting only between the bounds cutByE gives a's
+// binade.
+func (t *Tables) search(a uint64) uint32 {
 	cut := t.cut
-	lo, hi := uint32(0), uint32(len(cut)-1)
+	e := a >> 52
+	lo, hi := uint32(t.cutByE[e]), uint32(t.cutByE[e+1])
 	for lo < hi {
 		m := (lo + hi + 1) >> 1
 		if cut[m] <= a {
@@ -266,8 +286,16 @@ func (t *Tables) locate(a uint64, op uint8, x, y, r float64) uint32 {
 			hi = m - 1
 		}
 	}
-	p := lo
-	if p > 0 && cut[p] == a {
+	return lo
+}
+
+// locate returns the positive pattern whose rounding interval contains
+// the magnitude with float64 bits a (0 < value < ∞). For IEEE formats
+// the result can be maxPat+1, meaning overflow to infinity; posits
+// clamp to maxpos and never round a nonzero magnitude to zero.
+func (t *Tables) locate(a uint64, op uint8, x, y, r float64) uint32 {
+	p := t.search(a)
+	if p > 0 && t.cut[p] == a {
 		// Exactly on the boundary between p-1 and p.
 		switch s := boundaryTie(op, x, y, r); {
 		case s < 0:

@@ -479,3 +479,65 @@ func TestTable8MarshalRoundTrip(t *testing.T) {
 		t.Error("truncated Table8 payload unmarshalled without error")
 	}
 }
+
+// plainSearch is the boundary search without the per-binade index: a
+// binary search over the whole table for the largest p with
+// cut[p] <= a. It is the oracle of TestTablesLocateIndex.
+func plainSearch(cut []uint64, a uint64) uint32 {
+	lo, hi := uint32(0), uint32(len(cut)-1)
+	for lo < hi {
+		m := (lo + hi + 1) >> 1
+		if cut[m] <= a {
+			lo = m
+		} else {
+			hi = m - 1
+		}
+	}
+	return lo
+}
+
+// TestTablesLocateIndex checks the per-binade bound of the boundary
+// search: for every tabled format, the bounded search returns what the
+// plain binary search returns at every boundary, one bit pattern on
+// either side of it, and the first and last float64 of every binade.
+// It runs on the registry's tables (read from disk when
+// POSITLAB_TABLE_CACHE names a warm cache, as in the CI table-engine
+// smoke), on freshly built tables, and on tables read back from a
+// cache directory, since the index is derived after every load.
+func TestTablesLocateIndex(t *testing.T) {
+	for _, tf := range tabbedFormats(t) {
+		t.Run(tf.name, func(t *testing.T) {
+			reg, _ := arith.TablesOf(tf.fast)
+			dir := t.TempDir()
+			fresh := arith.LoadOrBuildTablesForTest(dir, tf.fast) // builds and persists
+			b0 := arith.TableBuildCount()
+			disk := arith.LoadOrBuildTablesForTest(dir, tf.fast)
+			if d := arith.TableBuildCount() - b0; d != 0 {
+				t.Fatalf("second load rebuilt the tables (%d builds), want a disk hit", d)
+			}
+			for _, src := range []struct {
+				name string
+				tab  *arith.Tables
+			}{{"registry", reg}, {"fresh", fresh}, {"disk", disk}} {
+				t.Run(src.name, func(t *testing.T) {
+					cut := arith.CutsForTest(src.tab)
+					var probes []uint64
+					for _, c := range cut {
+						probes = append(probes, c-1, c, c+1)
+					}
+					for e := uint64(0); e < 2048; e++ {
+						probes = append(probes, e<<52, e<<52|(1<<52-1))
+					}
+					for _, a := range probes {
+						if a >= 1<<63 {
+							continue // cut[0]-1 wraps; magnitudes only
+						}
+						if got, want := arith.SearchForTest(src.tab, a), plainSearch(cut, a); got != want {
+							t.Fatalf("search(%#x) = %d, plain binary search = %d", a, got, want)
+						}
+					}
+				})
+			}
+		})
+	}
+}

@@ -171,19 +171,34 @@ func BackwardError(a *linalg.Sparse, b, x []float64) float64 {
 // FactorizationError returns ‖RᵀR − A‖_F / ‖A‖_F in float64, the
 // factorization backward error of Fig. 10(b).
 func FactorizationError(a *linalg.Dense, r *linalg.DenseNum) float64 {
+	return factorErrorF64(a, r.ToFloat64())
+}
+
+// factorErrorF64 is FactorizationError on the float64 image rf of the
+// factor. RᵀR accumulates row by row of R: row k adds R[k][i]·R[k][j]
+// to every upper-triangle entry (i, j ≥ i) with i ≥ k, so each entry
+// sums its products from zero in ascending k — the roundings, in
+// order, of the per-entry column dot product — over contiguous rows.
+// The lower triangle holds the same sums (the products commute).
+func factorErrorF64(a, rf *linalg.Dense) float64 {
 	n := a.N
-	rf := r.ToFloat64()
+	g := make([]float64, n*n)
+	for k := 0; k < n; k++ {
+		rk := rf.A[k*n : (k+1)*n]
+		for i := k; i < n; i++ {
+			rki, gi, rkj := rk[i], g[i*n+i:(i+1)*n], rk[i:]
+			rkj = rkj[:len(gi)]
+			for j := range gi {
+				gi[j] += rki * rkj[j]
+			}
+		}
+	}
 	var num, den float64
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			// (RᵀR)[i][j] = Σ_k R[k][i]·R[k][j], k ≤ min(i,j).
-			m := i
-			if j < m {
-				m = j
-			}
-			s := 0.0
-			for k := 0; k <= m; k++ {
-				s += rf.At(k, i) * rf.At(k, j)
+			s := g[i*n+j]
+			if j < i {
+				s = g[j*n+i]
 			}
 			d := s - a.At(i, j)
 			num += d * d

@@ -55,19 +55,7 @@ func MixedIRGMRES(a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling,
 		mu = 1
 	}
 
-	ah := a.ToDense()
-	if sc.R != nil {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				ah.Set(i, j, ah.At(i, j)*sc.R[i]*sc.R[j])
-			}
-		}
-	}
-	if mu != 1 {
-		for i := range ah.A {
-			ah.A[i] *= mu
-		}
-	}
+	ah := scaledDense(a, sc.R, mu)
 	ahLow := ah.ToFormat(low, true)
 	rLow, err := Cholesky(ahLow)
 	res := IRResult{}
@@ -75,30 +63,14 @@ func MixedIRGMRES(a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling,
 		res.FactorFailed = true
 		return res
 	}
-	res.FactorError = FactorizationError(ah, rLow)
 	rf := rLow.ToFloat64()
+	res.FactorError = factorErrorF64(ah, rf)
 
 	// Preconditioner application: M⁻¹v = µ·R∘(Â⁻¹(R∘v)), the same map
 	// MixedIR uses as its whole correction.
 	applyM := func(v []float64) []float64 {
-		u := make([]float64, n)
-		if sc.R != nil {
-			for i := range u {
-				u[i] = sc.R[i] * v[i]
-			}
-		} else {
-			copy(u, v)
-		}
-		w := solveCholF64(rf, u)
-		if sc.R != nil {
-			for i := range w {
-				w[i] = mu * sc.R[i] * w[i]
-			}
-		} else if mu != 1 {
-			for i := range w {
-				w[i] = mu * w[i]
-			}
-		}
+		w := make([]float64, n)
+		correction(rf, sc.R, mu, v, w)
 		return w
 	}
 

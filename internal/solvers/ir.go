@@ -97,22 +97,9 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 		mu = 1
 	}
 
-	// Â = μ·R·A·R in float64, dense.
-	ah := a.ToDense()
-	if sc.R != nil {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				ah.Set(i, j, ah.At(i, j)*sc.R[i]*sc.R[j])
-			}
-		}
-	}
-	if mu != 1 {
-		for i := range ah.A {
-			ah.A[i] *= mu
-		}
-	}
-
-	// Cast with the paper's clamping rule and factor in low precision.
+	// Cast Â = μ·R·A·R with the paper's clamping rule and factor in low
+	// precision.
+	ah := scaledDense(a, sc.R, mu)
 	ahLow := ah.ToFormat(low, true)
 	rLow, err := CholeskyCtx(ctx, ahLow)
 	res := IRResult{}
@@ -123,14 +110,15 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 		res.FactorFailed = true
 		return res, nil
 	}
-	res.FactorError = FactorizationError(ah, rLow)
-
-	// Promote the factor to float64 for the refinement solves.
+	// Promote the factor to float64 once, for the factorization error
+	// and the refinement solves.
 	rf := rLow.ToFloat64()
+	res.FactorError = factorErrorF64(ah, rf)
 
 	x := make([]float64, n)
 	r := make([]float64, n)
 	ax := make([]float64, n)
+	d := make([]float64, n)
 	normAF := a.NormFrob()
 	normB := linalg.Norm2F64(b)
 
@@ -170,28 +158,9 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 		if math.IsNaN(eta) || math.IsInf(eta, 0) {
 			return res, nil // diverged
 		}
-		// Correction: Â·v = μ·R∘r, then d = μ·R∘v maps back to the
-		// original variables (d = μ·R·Â⁻¹·R·r solves A·d ≈ r).
-		u := make([]float64, n)
-		if sc.R != nil {
-			for i := range u {
-				u[i] = sc.R[i] * r[i]
-			}
-		} else {
-			copy(u, r)
-		}
-		v := solveCholF64(rf, u)
-		if sc.R != nil {
-			for i := range v {
-				v[i] = mu * sc.R[i] * v[i]
-			}
-		} else if mu != 1 {
-			for i := range v {
-				v[i] = mu * v[i]
-			}
-		}
+		correction(rf, sc.R, mu, r, d)
 		for i := range x {
-			x[i] += v[i]
+			x[i] += d[i]
 		}
 		// Pass k is complete: x is the iterate pass k+1 will refine, so
 		// this is the resumable snapshot point.
@@ -218,25 +187,72 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 	return res, nil
 }
 
-// solveCholF64 solves (RᵀR)·x = b in float64 given the upper factor.
-func solveCholF64(r *linalg.Dense, b []float64) []float64 {
-	n := r.N
-	y := append([]float64(nil), b...)
-	// Forward: Rᵀ·y = b.
-	for i := 0; i < n; i++ {
-		s := y[i]
-		for j := 0; j < i; j++ {
-			s -= r.At(j, i) * y[j]
+// scaledDense returns Â = μ·R·A·R in float64, dense (R nil: no
+// equilibration).
+func scaledDense(a *linalg.Sparse, rs []float64, mu float64) *linalg.Dense {
+	ah := a.ToDense()
+	if rs != nil {
+		for i := 0; i < a.N; i++ {
+			for j := 0; j < a.N; j++ {
+				ah.Set(i, j, ah.At(i, j)*rs[i]*rs[j])
+			}
 		}
-		y[i] = s / r.At(i, i)
 	}
-	// Backward: R·x = y.
+	if mu != 1 {
+		for i := range ah.A {
+			ah.A[i] *= mu
+		}
+	}
+	return ah
+}
+
+// correction sets d to the refinement correction for residual r: Â·v =
+// μ·R∘r is solved with the float64 factor rf of Â, then d = μ·R∘v maps
+// back to the original variables (d = μ·R·Â⁻¹·R·r solves A·d ≈ r).
+func correction(rf *linalg.Dense, rs []float64, mu float64, r, d []float64) {
+	if rs != nil {
+		for i := range d {
+			d[i] = rs[i] * r[i]
+		}
+	} else {
+		copy(d, r)
+	}
+	solveCholF64(rf, d)
+	if rs != nil {
+		for i := range d {
+			d[i] = mu * rs[i] * d[i]
+		}
+	} else if mu != 1 {
+		for i := range d {
+			d[i] = mu * d[i]
+		}
+	}
+}
+
+// solveCholF64 solves (RᵀR)·x = y in float64 given the upper factor,
+// in place: y holds the right-hand side on entry and x on return.
+func solveCholF64(r *linalg.Dense, y []float64) {
+	n := r.N
+	// Forward: Rᵀ·z = y, swept over rows of R. Once z[j] is final, row j
+	// subtracts R[j][i]·z[j] from every later entry i, so each entry
+	// still subtracts its terms from y[i] in ascending j — the roundings,
+	// in order, of the per-entry column sweep — over contiguous rows.
+	for j := 0; j < n; j++ {
+		rj := r.A[j*n : (j+1)*n]
+		zj := y[j] / rj[j]
+		y[j] = zj
+		yi, rji := y[j+1:], rj[j+1:]
+		for i := range yi {
+			yi[i] -= rji[i] * zj
+		}
+	}
+	// Backward: R·x = z.
 	for i := n - 1; i >= 0; i-- {
+		ri := r.A[i*n : (i+1)*n]
 		s := y[i]
 		for j := i + 1; j < n; j++ {
-			s -= r.At(i, j) * y[j]
+			s -= ri[j] * y[j]
 		}
-		y[i] = s / r.At(i, i)
+		y[i] = s / ri[i]
 	}
-	return y
 }
