@@ -1,12 +1,16 @@
-# Developer entry points. `make verify` is the repo's gate: vet,
-# build, the positlint static-analysis suite, the full test suite, and
-# a race-detector pass over every package.
+# Developer entry points. `make verify` is the repo's gate: gofmt,
+# vet, build, the positlint static-analysis suite, the full test suite,
+# and a race-detector pass over every package.
 
 GO ?= go
 
-.PHONY: verify vet build lint test race serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
+.PHONY: verify fmt vet build lint test race serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
 
-verify: vet build lint test race
+verify: fmt vet build lint test race
+
+# Fail, naming the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -91,10 +95,10 @@ bench-service:
 	$(GO) test -run '^$$' -bench 'BenchmarkService' -benchtime 2s ./internal/service/
 
 # Reproduce BENCH_shadow.json: shadow-wrapper overhead (off vs default
-# sampling vs full measurement) on the Dot1024 and Cholesky200
-# workloads, plus the raw Go micro-benchmarks for the same paths. The
-# report test also asserts the overhead contract (sampled <= 2x,
-# full <= 10x on cholesky200).
+# sampling vs full measurement) on the Dot1024 workload and on
+# Cholesky200 of the 1-D Laplacian and of a dense matrix, plus the raw
+# Go micro-benchmarks for the same paths. The report test also asserts
+# the overhead contract (sampled <= 2x, full <= 10x on the Laplacian).
 bench-shadow:
 	POSITLAB_BENCH_SHADOW=1 $(GO) test -run TestWriteShadowBenchReport -v ./internal/shadow/
 	$(GO) test -run '^$$' -bench 'Dot1024Posit16e2|Cholesky200Posit16e2' -benchtime 1s ./internal/shadow/

@@ -99,7 +99,7 @@ func TestParseCheckedInContracts(t *testing.T) {
 
 func TestEvalShadow(t *testing.T) {
 	c := shadowContract{SampledMax: 2, FullMax: 10, Workload: "cholesky n=200"}
-	rows := evalShadow(c, 8000, 10000, 72000, 2.0)
+	rows := evalShadow(c, c.Workload, 8000, 10000, 72000, 2.0)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -107,7 +107,7 @@ func TestEvalShadow(t *testing.T) {
 	if !rows[0].ok() || !rows[1].ok() {
 		t.Fatalf("in-contract measurements failed: %+v", rows)
 	}
-	bad := evalShadow(c, 8000, 40000, 200000, 2.0) // 5x and 25x
+	bad := evalShadow(c, denseWorkload, 8000, 40000, 200000, 2.0) // 5x and 25x
 	if bad[0].ok() || bad[1].ok() {
 		t.Fatalf("out-of-contract measurements passed: %+v", bad)
 	}
@@ -173,7 +173,7 @@ func writeContracts(t *testing.T) string {
 
 func stubMeasurers(off, sampled, full, jobsPerS, coldS, warmS float64) measurers {
 	return measurers{
-		shadow: func() (float64, float64, float64, error) { return off, sampled, full, nil },
+		shadow: func(string) (float64, float64, float64, error) { return off, sampled, full, nil },
 		jobs:   func(n int) (float64, error) { return jobsPerS, nil },
 		lint:   func(root string) (float64, float64, error) { return coldS, warmS, nil },
 	}
@@ -186,8 +186,14 @@ func TestRunAllPass(t *testing.T) {
 	if code := run([]string{"-C", dir}, &out, &errb, m); code != 0 {
 		t.Fatalf("exit %d, stderr: %s\ntable:\n%s", code, errb.String(), out.String())
 	}
-	if strings.Count(out.String(), "PASS") != 4 {
-		t.Fatalf("want 4 PASS rows:\n%s", out.String())
+	// Two shadow workloads, two rows each, plus jobs and lint.
+	if strings.Count(out.String(), "PASS") != 6 {
+		t.Fatalf("want 6 PASS rows:\n%s", out.String())
+	}
+	for _, w := range []string{"(cholesky n=200)", "(" + denseWorkload + ")"} {
+		if strings.Count(out.String(), w) != 2 {
+			t.Fatalf("want sampled and full rows for %s:\n%s", w, out.String())
+		}
 	}
 }
 

@@ -24,14 +24,14 @@ func (r row) ok() bool {
 }
 
 // evalShadow re-asserts the shadow overhead contract from measured
-// per-run times of the contract workload. slack multiplies the
-// recorded bounds: the contract machine is not the CI machine, and the
-// check exists to catch a broken sampling discipline (an order of
-// magnitude), not scheduler jitter (tens of percent).
-func evalShadow(c shadowContract, off, sampled, full, slack float64) []row {
+// per-run times of one workload. slack multiplies the recorded bounds:
+// the contract machine is not the CI machine, and the check exists to
+// catch a broken sampling discipline (an order of magnitude), not
+// scheduler jitter (tens of percent).
+func evalShadow(c shadowContract, workload string, off, sampled, full, slack float64) []row {
 	return []row{
 		{
-			Check:    "shadow sampled overhead (" + c.Workload + ")",
+			Check:    "shadow sampled overhead (" + workload + ")",
 			Recorded: c.SampledMax,
 			Bound:    c.SampledMax * slack,
 			Measured: sampled / off,
@@ -39,7 +39,7 @@ func evalShadow(c shadowContract, off, sampled, full, slack float64) []row {
 			Dir:      '<',
 		},
 		{
-			Check:    "shadow full overhead (" + c.Workload + ")",
+			Check:    "shadow full overhead (" + workload + ")",
 			Recorded: c.FullMax,
 			Bound:    c.FullMax * slack,
 			Measured: full / off,

@@ -5,8 +5,10 @@
 // change breaks the promise by more than a generous tolerance:
 //
 //   - BENCH_shadow.json: shadow-wrapper overhead on the contract
-//     workload (cholesky n=200) — sampled and full measurement modes
-//     must stay within slack x the recorded overhead bounds.
+//     workload (cholesky n=200) and on a dense matrix with no
+//     zero-multiplier rows (cholesky dense n=200) — sampled and full
+//     measurement modes must stay within slack x the recorded overhead
+//     bounds on both.
 //   - BENCH_jobs.json: ephemeral submit-to-complete throughput must
 //     reach floor-frac x the recorded jobs/s.
 //   - BENCH_lint.json: warm fact-cache RunRepo must beat cold by at
@@ -113,14 +115,16 @@ func collectRows(cfg config, m measurers) ([]row, error) {
 		if err != nil {
 			return nil, err
 		}
-		off, sampled, full, err := m.shadow()
-		if err != nil {
-			return nil, fmt.Errorf("shadow measurement: %w", err)
+		for _, w := range []string{c.Workload, denseWorkload} {
+			off, sampled, full, err := m.shadow(w)
+			if err != nil {
+				return nil, fmt.Errorf("shadow measurement (%s): %w", w, err)
+			}
+			if off <= 0 {
+				return nil, fmt.Errorf("shadow measurement (%s): non-positive baseline %v", w, off)
+			}
+			rows = append(rows, evalShadow(c, w, off, sampled, full, cfg.slack)...)
 		}
-		if off <= 0 {
-			return nil, fmt.Errorf("shadow measurement: non-positive baseline %v", off)
-		}
-		rows = append(rows, evalShadow(c, off, sampled, full, cfg.slack)...)
 	}
 	if cfg.only["jobs"] {
 		data, err := os.ReadFile(filepath.Join(cfg.root, "BENCH_jobs.json"))

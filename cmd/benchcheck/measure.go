@@ -18,9 +18,9 @@ import (
 // measurers are the live-measurement hooks; tests substitute stubs so
 // the eval/table/exit-code logic is checked without running solvers.
 type measurers struct {
-	// shadow returns per-run wall times of the contract workload
-	// unwrapped, default-sampled, and fully measured.
-	shadow func() (off, sampled, full float64, err error)
+	// shadow returns per-run wall times of the named shadow workload
+	// (see shadowMatrix) unwrapped, default-sampled, and fully measured.
+	shadow func(workload string) (off, sampled, full float64, err error)
 	// jobs returns ephemeral submit-to-complete throughput in jobs/s.
 	jobs func(n int) (float64, error)
 	// lint returns cold and warm RunRepo wall times in seconds.
@@ -45,8 +45,8 @@ func timeWorkload(minRuns int, fn func()) time.Duration {
 	return time.Since(start) / time.Duration(runs)
 }
 
-// laplacian1D is the SPD workload matrix the shadow contract is stated
-// for: tridiagonal (2, -1), the 1-D Poisson operator.
+// laplacian1D is the SPD matrix of the shadow contract's workload:
+// tridiagonal (2, -1), the 1-D Poisson operator.
 func laplacian1D(n int) *linalg.Sparse {
 	var entries []linalg.Entry
 	for i := 0; i < n; i++ {
@@ -62,14 +62,42 @@ func laplacian1D(n int) *linalg.Sparse {
 	return s
 }
 
-// measureShadow times cholesky n=200 in Posit(16,2) — the workload
-// named in the BENCH_shadow.json contract — unwrapped, with the
-// default sampling stride, and with full measurement.
-func measureShadow() (off, sampled, full float64, err error) {
+// denseWorkload is the second workload the shadow overhead contract
+// is checked on. The contract's own workload factors the 1-D
+// Laplacian, whose trailing-update rows nearly all have a zero
+// multiplier and so are recorded in bulk; this one has no zero
+// multiplier, so every sampled operation is measured op by op.
+const denseWorkload = "cholesky dense n=200"
+
+// shadowMatrix returns the matrix of a shadow workload: the diagonally
+// dominant dense matrix (diagonal 256, off-diagonal 1/(1+(i+j) mod 7))
+// for denseWorkload, and the 1-D Laplacian of the contract otherwise.
+func shadowMatrix(workload string) *linalg.Dense {
+	const n = 200
+	if workload != denseWorkload {
+		return laplacian1D(n).ToDense()
+	}
+	a := linalg.NewDense(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			v := 256.0
+			if i != j {
+				v = 1 / float64(1+(i+j)%7)
+			}
+			a.Set(i, j, v)
+		}
+	}
+	return a
+}
+
+// measureShadow times the Cholesky factorization of a shadow workload
+// in Posit(16,2) unwrapped, with the default sampling stride, and with
+// full measurement.
+func measureShadow(workload string) (off, sampled, full float64, err error) {
 	base := arith.Posit16e2
-	lap := laplacian1D(200)
+	a := shadowMatrix(workload)
 	mk := func(g arith.Format) func() {
-		ad := lap.ToDense().ToFormat(g, false)
+		ad := a.ToFormat(g, false)
 		return func() {
 			if _, cerr := solvers.Cholesky(ad); cerr != nil {
 				err = fmt.Errorf("cholesky: %w", cerr)

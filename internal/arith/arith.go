@@ -77,10 +77,10 @@ func (float64Format) ToFloat64(a Num) float64   { return math.Float64frombits(ui
 func f64(a Num) float64 { return math.Float64frombits(uint64(a)) }
 func n64(x float64) Num { return Num(math.Float64bits(x)) }
 
-func (float64Format) Add(a, b Num) Num  { return n64(f64(a) + f64(b)) }
-func (float64Format) Sub(a, b Num) Num  { return n64(f64(a) - f64(b)) }
-func (float64Format) Mul(a, b Num) Num  { return n64(f64(a) * f64(b)) }
-func (float64Format) Div(a, b Num) Num  { return n64(f64(a) / f64(b)) }
+func (float64Format) Add(a, b Num) Num { return n64(f64(a) + f64(b)) }
+func (float64Format) Sub(a, b Num) Num { return n64(f64(a) - f64(b)) }
+func (float64Format) Mul(a, b Num) Num { return n64(f64(a) * f64(b)) }
+func (float64Format) Div(a, b Num) Num { return n64(f64(a) / f64(b)) }
 func (float64Format) MulAdd(a, b, c Num) Num {
 	// The explicit conversion forces the product to round before the
 	// add (the Go spec permits fusing x*y+z into an FMA otherwise).
@@ -183,10 +183,10 @@ func (m miniFormat) Div(a, b Num) Num {
 }
 func (m miniFormat) MulAdd(a, b, c Num) Num { return m.Add(m.Mul(a, b), c) }
 func (m miniFormat) Sqrt(a Num) Num         { return Num(m.f.Sqrt(minifloat.Bits(a))) }
-func (m miniFormat) Neg(a Num) Num     { return Num(m.f.Neg(minifloat.Bits(a))) }
-func (m miniFormat) Zero() Num         { return Num(m.f.Zero()) }
-func (m miniFormat) One() Num          { return Num(m.f.One()) }
-func (m miniFormat) IsZero(a Num) bool { return m.f.IsZero(minifloat.Bits(a)) }
+func (m miniFormat) Neg(a Num) Num          { return Num(m.f.Neg(minifloat.Bits(a))) }
+func (m miniFormat) Zero() Num              { return Num(m.f.Zero()) }
+func (m miniFormat) One() Num               { return Num(m.f.One()) }
+func (m miniFormat) IsZero(a Num) bool      { return m.f.IsZero(minifloat.Bits(a)) }
 func (m miniFormat) Bad(a Num) bool {
 	p := minifloat.Bits(a)
 	return m.f.IsNaN(p) || m.f.IsInf(p)

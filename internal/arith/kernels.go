@@ -35,7 +35,11 @@ package arith
 // TrailingUpdateKernel takes the *negated* scale so the Cholesky
 // update w ← w − α·x is expressible through MulAdd; by the sign
 // symmetry of rounding, Add(Mul(Neg(α), x), w) is bit-identical to
-// Sub(w, Mul(α, x)) in every supported format.
+// Sub(w, Mul(α, x)) in every supported format. With a ±0 scale the
+// defining sequence leaves every finite w[i] unchanged for finite x[i],
+// except IEEE's −0 + +0 = +0; the fast formats skip those elements
+// without rounding, and the instrumented wrappers still count every
+// element as one Mul and one Add.
 type BulkFormat interface {
 	DotKernel(x, y []Num) Num
 	AxpyKernel(alpha Num, x, y []Num)
@@ -247,6 +251,49 @@ func (k *valueKernels) trailingUpdate(nalpha Num, x, w []Num) {
 	}
 }
 
+// expBits64 is the float64 exponent field: a magnitude below it is
+// finite.
+const expBits64 = uint64(0x7FF) << 52
+
+// trailingUpdate is the TrailingUpdateKernel of both fast formats. A
+// zero scale leaves w[i] as it is whenever x[i] and w[i] are finite:
+// fl(±0·x[i]) is a zero, and a zero plus a finite format value is that
+// value. The one exception is IEEE's −0 + +0 = +0, so w[i] = −0 under a
+// +0 product (sign(nalpha) = sign(x[i])) takes the engine, as does
+// every non-finite operand. A Cholesky row whose multiplier is zero —
+// most rows of a banded or sparse matrix stored dense — then costs one
+// read pass instead of 2·len(x) roundings.
+//
+// The instrumented wrappers still count every element, and the shadow
+// wrapper records a zero-scale call's sampled operations in bulk.
+func trailingUpdate(ek *exactKernels, kern *valueKernels, nalpha Num, x, w []Num) {
+	if uint64(nalpha)&^signBit64 != 0 {
+		updateEngine(ek, kern, nalpha, x, w)
+		return
+	}
+	w = w[:len(x)]
+	ns := uint64(nalpha) & signBit64
+	for i := range x {
+		xb, wb := uint64(x[i]), uint64(w[i])
+		if xb&^signBit64 < expBits64 && wb&^signBit64 < expBits64 &&
+			(wb != signBit64 || xb&signBit64 != ns) {
+			continue
+		}
+		updateEngine(ek, kern, nalpha, x[i:i+1], w[i:i+1])
+	}
+}
+
+// updateEngine runs the trailing update on the format's engine: the
+// table engine when eligible (ek set; see exact.go), the roundTables
+// engine otherwise.
+func updateEngine(ek *exactKernels, kern *valueKernels, nalpha Num, x, w []Num) {
+	if ek != nil {
+		ek.fma(f64(nalpha), x, w, w)
+		return
+	}
+	kern.trailingUpdate(nalpha, x, w)
+}
+
 // The fast formats dispatch to the table engine when eligible (ek set;
 // see exact.go) and to the roundTables engine otherwise.
 
@@ -285,11 +332,7 @@ func (p fastPosit) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 	p.kern.matVec(rowPtr, col, val, x, y)
 }
 func (p fastPosit) TrailingUpdateKernel(nalpha Num, x, w []Num) {
-	if p.ek != nil {
-		p.ek.fma(f64(nalpha), x, w, w)
-		return
-	}
-	p.kern.trailingUpdate(nalpha, x, w)
+	trailingUpdate(p.ek, p.kern, nalpha, x, w)
 }
 func (p fastPosit) DivKernel(alpha Num, x []Num) {
 	if p.ek != nil {
@@ -336,11 +379,7 @@ func (m fastMini) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 	m.kern.matVec(rowPtr, col, val, x, y)
 }
 func (m fastMini) TrailingUpdateKernel(nalpha Num, x, w []Num) {
-	if m.ek != nil {
-		m.ek.fma(f64(nalpha), x, w, w)
-		return
-	}
-	m.kern.trailingUpdate(nalpha, x, w)
+	trailingUpdate(m.ek, m.kern, nalpha, x, w)
 }
 func (m fastMini) DivKernel(alpha Num, x []Num) {
 	if m.ek != nil {

@@ -221,6 +221,73 @@ func checkScaledKernels(t *testing.T, f arith.Format, alpha arith.Num, x, y []ar
 	}
 }
 
+// minPos returns f's smallest positive value: One halved until the next
+// halving rounds to zero (IEEE) or stays put (posits never underflow).
+func minPos(f arith.Format) arith.Num {
+	half := f.FromFloat64(0.5)
+	v := f.One()
+	for {
+		h := f.Mul(v, half)
+		if f.IsZero(h) || h == v {
+			return v
+		}
+		v = h
+	}
+}
+
+// TestTrailingUpdateZeroScaleGrid pins the zero-scale rule of
+// TrailingUpdateKernel on a fixed operand grid: with nalpha = ±0, x and
+// w run over {±0, ±minpos, ±1, ±maxpos, NaR/NaN, ±Inf} in every pairing
+// (one slice, so skipped and computed elements share a call), and every
+// element must equal the scalar Sub(w, Mul(alpha, x)) with alpha =
+// Neg(nalpha). The instrumented wrappers must count a zero-scale call
+// exactly as a nonzero one.
+func TestTrailingUpdateZeroScaleGrid(t *testing.T) {
+	for name, f := range kernelFormats(t) {
+		t.Run(name, func(t *testing.T) {
+			mp, maxp := minPos(f), f.FromFloat64(f.MaxValue())
+			grid := []arith.Num{
+				f.Zero(), f.Neg(f.Zero()), mp, f.Neg(mp), f.One(), f.Neg(f.One()),
+				maxp, f.Neg(maxp), f.FromFloat64(math.NaN()),
+				f.FromFloat64(math.Inf(1)), f.FromFloat64(math.Inf(-1)),
+			}
+			var x, w []arith.Num
+			for _, xv := range grid {
+				for _, wv := range grid {
+					x = append(x, xv)
+					w = append(w, wv)
+				}
+			}
+			bk := arith.BulkOf(f)
+			for _, nalpha := range []arith.Num{f.Zero(), f.Neg(f.Zero())} {
+				alpha := f.Neg(nalpha)
+				got := cloneNums(w)
+				bk.TrailingUpdateKernel(nalpha, x, got)
+				for i := range x {
+					want := f.Sub(w[i], f.Mul(alpha, x[i]))
+					if !eqNum(f, got[i], want) {
+						t.Errorf("nalpha=%g x=%g w=%g: TrailingUpdateKernel = %g (bits %x), scalar Sub = %g (bits %x)",
+							f.ToFloat64(nalpha), f.ToFloat64(x[i]), f.ToFloat64(w[i]),
+							f.ToFloat64(got[i]), uint64(got[i]), f.ToFloat64(want), uint64(want))
+					}
+				}
+
+				want := arith.OpCounts{Mul: uint64(len(x)), Add: uint64(len(x))}
+				for _, a := range []arith.Num{nalpha, f.One()} {
+					fi, c := arith.Instrument(f)
+					arith.BulkOf(fi).TrailingUpdateKernel(a, x, cloneNums(w))
+					var ac arith.AtomicOpCounts
+					arith.BulkOf(arith.InstrumentAtomic(f, &ac)).TrailingUpdateKernel(a, x, cloneNums(w))
+					if *c != want || ac.Snapshot() != want {
+						t.Errorf("scale %g: counted %+v (atomic %+v), want %+v",
+							f.ToFloat64(a), *c, ac.Snapshot(), want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // bandCSR builds a small tridiagonal-ish CSR with format-rounded
 // values and a few deliberately empty rows.
 func bandCSR(f arith.Format, n int) (rowPtr, col []int, val []arith.Num) {

@@ -36,25 +36,32 @@ func CholeskyF64(a *Dense) (*Dense, error) {
 	return r, nil
 }
 
-// SolveCholF64 solves (RᵀR)·x = b given the upper factor R.
-func SolveCholF64(r *Dense, b []float64) []float64 {
+// SolveCholF64 solves (RᵀR)·x = y in float64 given the upper factor
+// R, in place: y holds the right-hand side on entry and x on return.
+func SolveCholF64(r *Dense, y []float64) {
 	n := r.N
-	y := append([]float64(nil), b...)
-	for i := 0; i < n; i++ {
-		s := y[i]
-		for j := 0; j < i; j++ {
-			s -= r.At(j, i) * y[j]
+	// Forward: Rᵀ·z = y, swept over rows of R. Once z[j] is final, row j
+	// subtracts R[j][i]·z[j] from every later entry i, so each entry
+	// still subtracts its terms from y[i] in ascending j — the roundings,
+	// in order, of the per-entry column sweep — over contiguous rows.
+	for j := 0; j < n; j++ {
+		rj := r.A[j*n : (j+1)*n]
+		zj := y[j] / rj[j]
+		y[j] = zj
+		yi, rji := y[j+1:], rj[j+1:]
+		for i := range yi {
+			yi[i] -= rji[i] * zj
 		}
-		y[i] = s / r.At(i, i)
 	}
+	// Backward: R·x = z.
 	for i := n - 1; i >= 0; i-- {
+		ri := r.A[i*n : (i+1)*n]
 		s := y[i]
 		for j := i + 1; j < n; j++ {
-			s -= r.At(i, j) * y[j]
+			s -= ri[j] * y[j]
 		}
-		y[i] = s / r.At(i, i)
+		y[i] = s / ri[i]
 	}
-	return y
 }
 
 // CondViaCholesky measures the spectral condition number of an SPD
@@ -80,8 +87,10 @@ func CondViaCholesky(a *Sparse) float64 {
 		}
 	}
 	var mu float64
+	w := make([]float64, n)
 	for k := 0; k < 40; k++ {
-		w := SolveCholF64(r, v)
+		copy(w, v)
+		SolveCholF64(r, w)
 		nw := Norm2F64(w)
 		if nw == 0 || math.IsNaN(nw) || math.IsInf(nw, 0) {
 			return math.NaN()

@@ -111,6 +111,6 @@ func parRange(n, work int, body func(lo, hi int)) {
 		}
 		poolCh <- fn
 	}
-	body((w - 1) * n / w, n) // last shard runs on the caller
+	body((w-1)*n/w, n) // last shard runs on the caller
 	wg.Wait()
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"positlab/internal/arith"
+	"positlab/internal/linalg"
 	"positlab/internal/shadow"
 	"positlab/internal/solvers"
 )
@@ -61,6 +62,24 @@ func benchCholesky(b *testing.B, f arith.Format, every int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// denseDominant is a dense, diagonally dominant SPD matrix (diagonal
+// 256, off-diagonal 1/(1+(i+j) mod 7)). Its Cholesky factor has no zero
+// multiplier, so every trailing update is measured op by op — unlike the
+// Laplacian's, whose zero-multiplier rows are recorded in bulk.
+func denseDominant(n int) *linalg.Dense {
+	a := linalg.NewDense(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			v := 256.0
+			if i != j {
+				v = 1 / float64(1+(i+j)%7)
+			}
+			a.Set(i, j, v)
+		}
+	}
+	return a
 }
 
 func BenchmarkCholesky200Posit16e2Off(b *testing.B) { benchCholesky(b, arith.Posit16e2, 0) }
@@ -121,14 +140,21 @@ func TestWriteShadowBenchReport(t *testing.T) {
 		bk := arith.BulkOf(g)
 		return func() { _ = bk.DotKernel(x, y) }
 	})
-	choOff, choSampled, choFull := workload("cholesky n=200", func(g arith.Format) func() {
-		ad := laplacian1D(200).ToDense().ToFormat(g, false)
-		return func() {
-			if _, err := solvers.Cholesky(ad); err != nil {
-				t.Fatal(err)
+	cholesky := func(a *linalg.Dense) func(g arith.Format) func() {
+		return func(g arith.Format) func() {
+			ad := a.ToFormat(g, false)
+			return func() {
+				if _, err := solvers.Cholesky(ad); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	choOff, choSampled, choFull := workload("cholesky n=200", cholesky(laplacian1D(200).ToDense()))
+	// No zero multipliers: every sampled trailing-update operation is
+	// measured against the reference. cmd/benchcheck checks it against
+	// the same contract, with its slack.
+	workload("cholesky dense n=200", cholesky(denseDominant(200)))
 
 	// The acceptance bounds, with headroom for a loaded CI host: the
 	// measured ratios on an idle machine run well under them.

@@ -16,6 +16,11 @@ import "positlab/internal/arith"
 // a sampled call replays the defining scalar MulAdd chain — which is
 // bit-identical to the kernel by the BulkFormat contract — to recover
 // the intermediate accumulator values it measures against.
+//
+// A trailing update with a zero scale (a Cholesky row whose multiplier
+// is zero) is recorded without the reference: every sampled operation
+// is exact, or bad when an operand is not finite, so it is counted in
+// bulk. The telemetry is identical to measuring it op by op.
 type shadowed struct {
 	arith.Format
 	bk  arith.BulkFormat
@@ -206,7 +211,43 @@ func (s shadowed) ScaleKernel(alpha arith.Num, x []arith.Num) {
 	rp.end()
 }
 
+// TrailingUpdateKernel measures a zero-scale call in bulk (see
+// trailingZero) and any other call op by op.
 func (s shadowed) TrailingUpdateKernel(nalpha arith.Num, x, w []arith.Num) {
+	if s.Format.IsZero(nalpha) {
+		s.trailingZero(nalpha, x, w)
+		return
+	}
+	s.trailingPerOp(nalpha, x, w)
+}
+
+// trailingZero runs a zero-scale trailing update and records its
+// sampled operations without evaluating the reference. Each one is
+// fl(fl(±0·x[i]) + w[i]), whose exact value is w[i]. With x[i] and w[i]
+// finite the format returns exactly that; otherwise the result is
+// NaR/NaN or ±Inf and measureNums counts the operation bad. So the
+// result alone decides it. Cholesky's zero-multiplier rows, the bulk
+// of a banded factorization, then cost no reference arithmetic.
+func (s shadowed) trailingZero(nalpha arith.Num, x, w []arith.Num) {
+	start, any := s.rec.window(uint64(len(x)))
+	s.bk.TrailingUpdateKernel(nalpha, x, w)
+	if !any {
+		return
+	}
+	f, rec := s.Format, s.rec
+	var n, bad uint64
+	for i := rec.firstSample(start); i < uint64(len(w)); i += rec.stride {
+		n++
+		if !finite(f.ToFloat64(w[i])) {
+			bad++
+		}
+	}
+	rec.noteExact("trailing", OpMulAdd, n, bad)
+}
+
+// trailingPerOp measures each sampled element of a trailing update
+// against the reference.
+func (s shadowed) trailingPerOp(nalpha arith.Num, x, w []arith.Num) {
 	start, any := s.rec.window(uint64(len(x)))
 	if !any {
 		s.bk.TrailingUpdateKernel(nalpha, x, w)

@@ -288,6 +288,24 @@ func (r *Recorder) noteScalar(op Op, a, b, c, got arith.Num) {
 	r.mu.Unlock()
 }
 
+// noteExact folds n measured operations of op at kernel site whose
+// results are known without the reference: bad of them consumed a
+// non-finite operand, and the rest equal their exact value. It records
+// what measureNums would for each — a count, plus exact or bad — so the
+// telemetry is identical to measuring them one by one.
+func (r *Recorder) noteExact(site string, op Op, n, bad uint64) {
+	if n == 0 {
+		return
+	}
+	r.mu.Lock()
+	c := r.cellFor(cellKey{label: r.label, site: site, op: op})
+	r.measured += n
+	c.count += n
+	c.bad += bad
+	c.exact += n - bad
+	r.mu.Unlock()
+}
+
 // replay batches the measurements of one sampled kernel call under a
 // single lock acquisition with the hot cells cached.
 type replay struct {

@@ -80,7 +80,10 @@ func CholeskyCtx(ctx context.Context, a *linalg.DenseNum) (*linalg.DenseNum, err
 			return nil, ErrNotPositiveDefinite
 		}
 		// Trailing update: W[i][i:] ← W[i][i:] − R[j][i]·R[j][i:] for
-		// every i > j. Rows are independent chains; shard them.
+		// every i > j. Rows are independent chains; shard them. A row
+		// whose multiplier R[j][i] is zero still goes through the
+		// kernel: the fast formats skip its elements themselves, and
+		// the instrumented and shadow wrappers count its operations.
 		rows := n - (j + 1)
 		if rows > 0 {
 			linalg.ParRows(rows, rows*(rows+1)/2, func(lo, hi int) {

@@ -38,9 +38,9 @@ func colFactorError(a, rf *linalg.Dense) float64 {
 	return math.Sqrt(num / den)
 }
 
-// colSolveCholF64 is solveCholF64 with the forward sweep in its column
-// form, each entry's sum running down a strided column of R. It is the
-// oracle of the row-ordered sweep.
+// colSolveCholF64 is linalg.SolveCholF64 with the forward sweep in its
+// column form, each entry's sum running down a strided column of R. It
+// is the oracle of the row-ordered sweep.
 func colSolveCholF64(r *linalg.Dense, b []float64) []float64 {
 	n := r.N
 	y := append([]float64(nil), b...)
@@ -124,7 +124,7 @@ func TestRowOrderedF64Kernels(t *testing.T) {
 		}
 
 		x := append([]float64(nil), s.b...)
-		solveCholF64(rf, x)
+		linalg.SolveCholF64(rf, x)
 		wx := colSolveCholF64(rf, s.b)
 		for i := range x {
 			if math.Float64bits(x[i]) != math.Float64bits(wx[i]) {
