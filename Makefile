@@ -77,7 +77,7 @@ serve:
 bench-tables:
 	$(GO) test -run '^$$' -bench 'Cholesky200(Float16|BFloat16|Posit16e1|Posit16e2)' -benchtime 2s ./internal/linalg/
 	$(GO) test -run '^$$' -bench 'MixedIR' -benchtime 2s ./internal/solvers/
-	$(GO) test -run '^$$' -bench 'TableBuild' ./internal/arith/
+	$(GO) test -run '^$$' -bench 'TableBuild|FastPosit8' ./internal/arith/
 
 # Capture a CPU profile of the table-driven 16-bit Cholesky hot path
 # and print the top functions. Inspect interactively with

@@ -194,9 +194,7 @@ func (m miniFormat) Bad(a Num) bool {
 func (m miniFormat) Less(a, b Num) bool {
 	return m.f.Less(minifloat.Bits(a), minifloat.Bits(b))
 }
-func (m miniFormat) Eps() float64 {
-	return math.Ldexp(1, -(m.f.FracBits() + 1))
-}
+func (m miniFormat) Eps() float64      { return miniEps(m.f) }
 func (m miniFormat) MaxValue() float64 { return m.f.MaxValue() }
 
 // --- posit-backed formats ---
@@ -241,14 +239,14 @@ func (p positFormat) Less(a, b Num) bool {
 	}
 	return p.c.Less(pa, pb)
 }
-func (p positFormat) Eps() float64 {
-	return math.Ldexp(1, -(p.c.FracBitsAtScale(0) + 1))
-}
+func (p positFormat) Eps() float64      { return positEps(p.c) }
 func (p positFormat) MaxValue() float64 { return p.c.ToFloat64(p.c.MaxPos()) }
 
-// Config exposes the underlying posit configuration of a posit-backed
-// Format, for callers that need format internals (e.g. USEED).
-func (p positFormat) Config() posit.Config { return p.c }
+// positEps and miniEps are the unit roundoff at 1.0 of a posit and of
+// an IEEE small format.
+func positEps(c posit.Config) float64 { return math.Ldexp(1, -(c.FracBitsAtScale(0) + 1)) }
+
+func miniEps(f minifloat.Format) float64 { return math.Ldexp(1, -(f.FracBits() + 1)) }
 
 // PositConfig returns the posit.Config behind f and whether f is
 // posit-backed (either implementation).
@@ -256,10 +254,11 @@ func PositConfig(f Format) (posit.Config, bool) {
 	switch pf := f.(type) {
 	case positFormat:
 		return pf.c, true
-	case fastPosit:
+	case *widePosit:
 		return pf.c, true
-	case table8Format:
-		return pf.c, true
+	case *tableFormat:
+		c, ok := pf.id.(posit.Config)
+		return c, ok
 	}
 	return posit.Config{}, false
 }
@@ -273,8 +272,9 @@ func MiniConfig(f Format) (minifloat.Format, bool) {
 	switch mf := f.(type) {
 	case miniFormat:
 		return mf.f, true
-	case fastMini:
-		return mf.f, true
+	case *tableFormat:
+		m, ok := mf.id.(minifloat.Format)
+		return m, ok
 	}
 	return minifloat.Format{}, false
 }

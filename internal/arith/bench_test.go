@@ -44,6 +44,7 @@ var sinkNum arith.Num
 func BenchmarkFastPosit32(b *testing.B) { benchFormat(b, arith.Posit32e2) }
 func BenchmarkSlowPosit32(b *testing.B) { benchFormat(b, arith.Posit(posit.Posit32e2)) }
 func BenchmarkFastPosit16(b *testing.B) { benchFormat(b, arith.Posit16e2) }
+func BenchmarkFastPosit8(b *testing.B)  { benchFormat(b, arith.MustByName("posit8es1")) }
 func BenchmarkSlowPosit16(b *testing.B) { benchFormat(b, arith.Posit(posit.Posit16e2)) }
 func BenchmarkFastFloat16(b *testing.B) { benchFormat(b, arith.Float16) }
 func BenchmarkSlowFloat16(b *testing.B) {
@@ -52,10 +53,17 @@ func BenchmarkSlowFloat16(b *testing.B) {
 func BenchmarkNativeFloat64(b *testing.B) { benchFormat(b, arith.Float64) }
 func BenchmarkNativeFloat32(b *testing.B) { benchFormat(b, arith.Float32) }
 
-// Table-build cost: what the first use of a 16-bit format pays (once
-// per process, or once ever with the on-disk cache). The reported
-// table-bytes metric is the resident footprint per format.
+// Table-build cost: what the first use of a table-backed format pays
+// (once per process, or once ever with the on-disk cache). The
+// reported table-bytes metric is the resident footprint per format.
 var sinkTables *arith.Tables
+
+func BenchmarkTableBuildPosit8e1(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkTables = arith.LoadOrBuildPositTablesForTest("", posit.Posit8e1)
+	}
+	b.ReportMetric(float64(sinkTables.MemBytes()), "table-bytes")
+}
 
 func BenchmarkTableBuildPosit16e2(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -5,21 +5,21 @@ import (
 	"sync"
 )
 
-// Exact table-driven kernels for the <=16-bit formats.
+// The lookup-table engine: the fast implementation of every format of
+// at most 16 bits.
 //
 // For a format with at most 15 significand bits and scales well inside
 // float64's range, the product of any two format values is *exact* in
 // float64 (<=30 significand bits, exponents bounded), and every sum,
 // quotient, or square root is correctly rounded to 53 bits — far more
-// than the format keeps. The roundTables engine (fast.go) still treats
-// results near a rounding boundary as ambiguous and falls back to the
-// integer pipeline; with the Tables engine those cases resolve without
-// ever leaving float64:
+// than the format keeps. Rounding those results against the format's
+// Tables resolves every case without ever leaving float64:
 //
 //   - Products are exact, so a result on a boundary is a genuine tie —
 //     rounded to the even pattern inline (kept-bit parity equals
 //     pattern parity, since the pattern of 2^s has a zero fraction
-//     field whenever there are explicit fraction bits).
+//     field whenever there are explicit fraction bits). A float64
+//     handed to FromFloat64 is exact too and rounds the same way.
 //   - Sums, quotients, and roots are correctly rounded in float64, and
 //     every boundary of a <=16-bit format is itself a float64 value:
 //     if the rounded result is not *exactly on* a boundary, the exact
@@ -34,7 +34,7 @@ import (
 //     and roots, where hits are rare, leave the kernel and resolve by
 //     an FMA remainder (boundaryTie in table.go).
 //
-// The upshot: the kernel loops below never call the bit-pattern
+// The upshot: the operations below never call the bit-pattern
 // pipeline. The common case is one dropByE load plus ~10 integer ops
 // in registers, with no branch on the rounding direction (roundBits);
 // the rare cases (specials, region scales, quotient boundary hits,
@@ -50,23 +50,42 @@ import (
 // when 2·emax+2 and 2·(emin-frac) stay inside float64's normal
 // exponent range.
 
+// tableFormat is the fast implementation of a format of at most 16
+// bits: its Num is the value as float64 bits, and every operation
+// rounds against the format's Tables, built on first use.
+type tableFormat struct {
+	lt   lazyTables
+	name string
+	// id is the format's identity, a posit.Config or a
+	// minifloat.Format, for PositConfig and MiniConfig.
+	id            any
+	eps, maxValue float64
+}
+
 // lazyTables defers the table build to first use and memoizes the
 // result; the build itself is deduplicated process-wide by the
 // registry in tablereg.go.
 type lazyTables struct {
 	once  sync.Once
+	spec  string
 	build func() *Tables
 	tab   *Tables
 }
 
 func (l *lazyTables) get() *Tables {
-	l.once.Do(func() { l.tab = l.build() })
+	l.once.Do(func() { l.tab = tablesFor(l.spec, l.build) })
 	return l.tab
 }
 
-// exactKernels is the table-driven engine attached to a fast format.
-type exactKernels struct {
-	lt lazyTables
+// TablesOf returns the lookup-table engine behind f, building it on
+// first use, and whether f has one (the <=16-bit fast formats).
+// Callers like positd's /v1/convert use it for O(1) canonical
+// encodings.
+func TablesOf(f Format) (*Tables, bool) {
+	if k, ok := f.(*tableFormat); ok {
+		return k.lt.get(), true
+	}
+	return nil, false
 }
 
 // valuePat returns the format pattern of a float64 that *is* a format
@@ -131,8 +150,8 @@ func sumTieUp(x, y, r float64, sb, lsb uint64) uint64 {
 // Tables.roundFrom for everything dropByE maps to 0 (zeros, specials,
 // region scales) plus quotient boundary hits and overflow.
 
-func (k *exactKernels) add(x, y float64) float64 {
-	t := k.lt.get()
+// add rounds x + y.
+func (t *Tables) add(x, y float64) float64 {
 	r := x + y
 	ab := math.Float64bits(r)
 	sb := ab & signBit64
@@ -150,15 +169,14 @@ func (k *exactKernels) add(x, y float64) float64 {
 	return t.roundFrom(r, tieSum, x, y)
 }
 
-func (k *exactKernels) mul(x, y float64) float64 {
-	t := k.lt.get()
-	r := x * y
+// roundExact rounds an exact r — a product, or a value handed to
+// FromFloat64 — so a boundary hit is a genuine tie: it goes to the
+// even pattern via the kept-bit parity.
+func (t *Tables) roundExact(r float64) float64 {
 	ab := math.Float64bits(r)
 	sb := ab & signBit64
 	ab ^= sb
 	if drop := uint(t.dropByE[ab>>52]) & 63; drop != 0 {
-		// The product is exact, so a boundary hit is a genuine tie:
-		// round to the even pattern via the kept-bit parity.
 		mask := uint64(1)<<drop - 1
 		if rb := roundBits(ab, mask, ab>>drop&1); rb <= t.maxFinBits {
 			return math.Float64frombits(rb | sb)
@@ -167,12 +185,33 @@ func (k *exactKernels) mul(x, y float64) float64 {
 	return t.roundFrom(r, tieExact, 0, 0)
 }
 
-func (k *exactKernels) div(x, y float64) float64 {
+func (k *tableFormat) Name() string { return k.name }
+
+func (k *tableFormat) FromFloat64(x float64) Num { return n64(k.lt.get().roundExact(x)) }
+
+func (k *tableFormat) ToFloat64(a Num) float64 { return f64(a) }
+
+func (k *tableFormat) Add(a, b Num) Num { return n64(k.lt.get().add(f64(a), f64(b))) }
+
+// Sub(a, b) = Add(a, -b): rounding is sign-symmetric and -b is exact.
+func (k *tableFormat) Sub(a, b Num) Num { return n64(k.lt.get().add(f64(a), -f64(b))) }
+
+func (k *tableFormat) Mul(a, b Num) Num { return n64(k.lt.get().roundExact(f64(a) * f64(b))) }
+
+// MulAdd fuses the pair: product rounded, then sum rounded —
+// bit-identical to Add(Mul(a, b), c) with one dispatch.
+func (k *tableFormat) MulAdd(a, b, c Num) Num {
 	t := k.lt.get()
+	return n64(t.add(t.roundExact(f64(a)*f64(b)), f64(c)))
+}
+
+func (k *tableFormat) Div(a, b Num) Num {
+	t := k.lt.get()
+	x, y := f64(a), f64(b)
 	if x == 1 {
 		// Reciprocals are fully tabulated (One is exactly 1 in the
 		// value domain for every format).
-		return t.decode[t.recip[t.valuePat(y)]]
+		return n64(t.decode[t.recip[t.valuePat(y)]])
 	}
 	r := x / y
 	ab := math.Float64bits(r)
@@ -183,30 +222,51 @@ func (k *exactKernels) div(x, y float64) float64 {
 		mask := uint64(1)<<drop - 1
 		if ab&mask != mask>>1+1 {
 			if rb := roundBits(ab, mask, 0); rb <= t.maxFinBits {
-				return math.Float64frombits(rb | sb)
+				return Num(rb | sb)
 			}
 		}
 	}
-	return t.roundFrom(r, tieDiv, x, y)
+	return n64(t.roundFrom(r, tieDiv, x, y))
 }
 
-// sqrtVal is a single table lookup: the sqrt table covers every
-// pattern, including negatives and specials, with the pipeline's own
-// results.
-func (k *exactKernels) sqrtVal(x float64) float64 {
+// Sqrt is a single table lookup: the sqrt table covers every pattern,
+// including negatives and specials, with the pipeline's own results.
+func (k *tableFormat) Sqrt(a Num) Num {
 	t := k.lt.get()
-	return t.decode[t.sqrt[t.valuePat(x)]]
+	return n64(t.decode[t.sqrt[t.valuePat(f64(a))]])
 }
+
+func (k *tableFormat) Neg(a Num) Num {
+	v := -f64(a)
+	if v == 0 && !k.lt.get().ieee {
+		v = 0 // posit has a single (positive) zero
+	}
+	return n64(v)
+}
+
+func (k *tableFormat) Zero() Num         { return n64(0) }
+func (k *tableFormat) One() Num          { return n64(1) }
+func (k *tableFormat) IsZero(a Num) bool { return f64(a) == 0 }
+
+// Bad reports NaN/NaR or an IEEE infinity; a posit never holds an
+// infinity.
+func (k *tableFormat) Bad(a Num) bool {
+	v := f64(a)
+	return math.IsNaN(v) || math.IsInf(v, 0)
+}
+func (k *tableFormat) Less(a, b Num) bool { return f64(a) < f64(b) }
+func (k *tableFormat) Eps() float64       { return k.eps }
+func (k *tableFormat) MaxValue() float64  { return k.maxValue }
 
 // --- slice kernels ---
 //
 // The loops repeat the scalar rounding logic inline (the Go inliner
 // refuses functions with fallback calls, so only the call-free
-// roundBits and sumTieUp are shared). Any deviation from add/mul/div
-// above is a bug — table_test.go and kernels_test.go pin them together
-// differentially.
+// roundBits and sumTieUp are shared). Any deviation from the scalar
+// operations above is a bug — table_test.go and kernels_test.go pin
+// them together differentially.
 
-func (k *exactKernels) dot(x, y []Num) Num {
+func (k *tableFormat) DotKernel(x, y []Num) Num {
 	t := k.lt.get()
 	drops, maxFin, ieee := &t.dropByE, t.maxFinBits, t.ieee
 	y = y[:len(x)]
@@ -262,7 +322,7 @@ func (k *exactKernels) dot(x, y []Num) Num {
 	return n64(s)
 }
 
-func (k *exactKernels) scale(alpha Num, x []Num) {
+func (k *tableFormat) ScaleKernel(alpha Num, x []Num) {
 	t := k.lt.get()
 	drops, maxFin, ieee := &t.dropByE, t.maxFinBits, t.ieee
 	a := f64(alpha)
@@ -289,11 +349,14 @@ func (k *exactKernels) scale(alpha Num, x []Num) {
 	}
 }
 
-// fma computes dst[i] = Add(Mul(a, x[i]), y[i]) — the shared body of
-// AxpyKernel (dst = y), MulAddKernel, and TrailingUpdateKernel.
-func (k *exactKernels) fma(a float64, x, y, dst []Num) {
+// AxpyKernel is MulAddKernel with dst = y: the sum m + y[i] rounds the
+// same as y[i] + m.
+func (k *tableFormat) AxpyKernel(alpha Num, x, y []Num) { k.MulAddKernel(alpha, x, y, y) }
+
+func (k *tableFormat) MulAddKernel(alpha Num, x, y, dst []Num) {
 	t := k.lt.get()
 	drops, maxFin, ieee := &t.dropByE, t.maxFinBits, t.ieee
+	a := f64(alpha)
 	y = y[:len(x)]
 	dst = dst[:len(x)]
 	for i := range x {
@@ -344,7 +407,7 @@ func (k *exactKernels) fma(a float64, x, y, dst []Num) {
 	}
 }
 
-func (k *exactKernels) matVec(rowPtr, col []int, val []Num, x, y []Num) {
+func (k *tableFormat) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 	t := k.lt.get()
 	drops, maxFin, ieee := &t.dropByE, t.maxFinBits, t.ieee
 	for i := 0; i+1 < len(rowPtr); i++ {
@@ -398,8 +461,11 @@ func (k *exactKernels) matVec(rowPtr, col []int, val []Num, x, y []Num) {
 	}
 }
 
-// divK computes x[i] = Div(x[i], alpha) — the Cholesky row division.
-func (k *exactKernels) divK(alpha Num, x []Num) {
+func (k *tableFormat) TrailingUpdateKernel(nalpha Num, x, w []Num) {
+	trailingUpdate(nalpha, x, w, k.MulAddKernel)
+}
+
+func (k *tableFormat) DivKernel(alpha Num, x []Num) {
 	t := k.lt.get()
 	drops, maxFin, ieee := &t.dropByE, t.maxFinBits, t.ieee
 	a := f64(alpha)
@@ -427,22 +493,4 @@ func (k *exactKernels) divK(alpha Num, x []Num) {
 		}
 		x[i] = n64(t.roundFrom(r, tieDiv, xi, a))
 	}
-}
-
-// TablesOf returns the lookup-table engine behind f, building it on
-// first use, and whether f has one (the <=16-bit fast formats).
-// Callers like positd's /v1/convert use it for O(1) canonical
-// encodings.
-func TablesOf(f Format) (*Tables, bool) {
-	switch v := f.(type) {
-	case fastPosit:
-		if v.ek != nil {
-			return v.ek.lt.get(), true
-		}
-	case fastMini:
-		if v.ek != nil {
-			return v.ek.lt.get(), true
-		}
-	}
-	return nil, false
 }

@@ -37,13 +37,8 @@ func LoadOrBuildPositTablesForTest(dir string, c posit.Config) *Tables {
 // LoadOrBuildTablesForTest is LoadOrBuildPositTablesForTest for any
 // table-backed fast format; an empty dir always builds from scratch.
 func LoadOrBuildTablesForTest(dir string, f Format) *Tables {
-	switch v := f.(type) {
-	case fastPosit:
-		return loadOrBuildTables(dir, positSpec(v.c), func() *Tables { return buildPositTables(v.c) })
-	case fastMini:
-		return loadOrBuildTables(dir, miniSpec(v.f), func() *Tables { return buildMiniTables(v.f) })
-	}
-	return nil
+	k := f.(*tableFormat)
+	return loadOrBuildTables(dir, k.lt.spec, k.lt.build)
 }
 
 // BuildMiniTablesForTest runs a from-scratch minifloat table build

@@ -13,11 +13,20 @@ import (
 // Every format in this study embeds exactly into float64 (at most 28
 // significand bits, scales within ±496), so a Num can carry the
 // *value* as float64 bits instead of the format's encoding. Operations
-// then run as native float64 arithmetic followed by a table-driven
-// re-rounding into the format's value set — roughly 6x faster than the
+// then run as native float64 arithmetic followed by a re-rounding into
+// the format's value set — several times faster than the
 // integer-pipeline formats, which matters on the O(n³) factorizations.
 //
-// Correct rounding is preserved exactly. The hazard of computing
+// Each format has exactly one fast implementation, chosen by its width
+// in FastPosit and FastMini:
+//
+//   - formats of at most 16 bits (every posit8 and posit16, Float16,
+//     BFloat16, FP8) run on the exhaustive lookup-table engine,
+//     tableFormat (exact.go);
+//   - posits wider than 16 bits run on widePosit below, which
+//     re-rounds through per-scale roundTables.
+//
+// widePosit preserves correct rounding exactly. The hazard of computing
 // through float64 is double rounding: the float64-rounded result can
 // sit so close to a rounding boundary of the target format that it
 // rounds differently than the exact result would. The rounder detects
@@ -28,28 +37,72 @@ import (
 // for posit32) and the fast path is bit-identical to the slow path,
 // which differential tests assert.
 
-// roundTables drives value-domain rounding for one format.
+// FastPosit builds the fast implementation of a posit format. It is
+// bit-compatible with Posit(c) in results; only the Num encoding
+// differs (float64 value bits instead of posit patterns).
+func FastPosit(c posit.Config) Format {
+	if c.N() <= 16 {
+		// Every posit with n <= 16 is exact-product eligible: at most
+		// 14 significand bits and |scale| <= 224 (see exact.go).
+		return &tableFormat{
+			lt:       lazyTables{spec: positSpec(c), build: func() *Tables { return buildPositTables(c) }},
+			name:     c.String(),
+			id:       c,
+			eps:      positEps(c),
+			maxValue: c.ToFloat64(c.MaxPos()),
+		}
+	}
+	return newWidePosit(c)
+}
+
+// FastMini builds the fast implementation of an IEEE small format,
+// bit-compatible in results with the minifloat integer pipeline. A
+// format the table engine cannot serve gets the reference Mini; no
+// registered format is one.
+func FastMini(f minifloat.Format, name string) Format {
+	if !exactEligibleMini(f) {
+		return Mini(f, name)
+	}
+	return &tableFormat{
+		lt:       lazyTables{spec: miniSpec(f), build: func() *Tables { return buildMiniTables(f) }},
+		name:     name,
+		id:       f,
+		eps:      miniEps(f),
+		maxValue: f.MaxValue(),
+	}
+}
+
+// exactEligibleMini reports whether an IEEE format qualifies for the
+// table engine: tables must fit 2^16 entries and the product of any
+// two format values must be a normal float64 (exactness of the kernel
+// products; see exact.go).
+func exactEligibleMini(f minifloat.Format) bool {
+	frac := f.FracBits()
+	return f.Width() <= 16 &&
+		2*(frac+1) <= 53 &&
+		2*f.Emax()+2 <= 1022 &&
+		2*(f.Emin()-frac) >= -1020
+}
+
+// roundTables drives value-domain rounding for one posit format.
 type roundTables struct {
-	minScale int // scale of the smallest positive value
-	maxScale int // scale of the largest finite value
+	minScale int // scale of minpos
+	maxScale int // scale of maxpos
 	// fb[s-minScale]: explicit fraction bits at scale s. Negative
 	// values mark scales where the cut reaches the exponent/regime
-	// fields (posits near the ends, IEEE deep subnormals); those go
-	// through the region tables below.
+	// fields near the ends of the range; those go through the region
+	// tables below.
 	fb []int8
 	// Region tables, populated where fb <= 0: the bracketing
 	// representable values around 2^s, the rounding midpoint between
 	// them, and the parity of the lower pattern (for ties).
 	down, up, mid []float64
 	downOdd       []bool
-	minPosV       float64 // smallest positive value
-	maxFinV       float64 // largest finite value
+	minPosV       float64 // minpos: underflow clamps here
+	maxFinV       float64 // maxpos: overflow clamps here
 	// maxFinBits is math.Float64bits(maxFinV), for the bit-domain
 	// overflow check on the kernel hot path.
 	maxFinBits uint64
-	// posit: overflow clamps to maxFinV and underflow to minPosV;
-	// IEEE: overflow rounds to +Inf and underflow to zero.
-	ieee bool
 }
 
 // roundHot rounds x on the common path — finite, nonzero, in a scale
@@ -88,31 +141,25 @@ func (t *roundTables) roundHot(x float64) (float64, bool) {
 		rbits += 1 << drop
 	}
 	if rbits > t.maxFinBits {
-		return 0, false // overflow: the general rounder clamps or infs
+		return 0, false // overflow: the general rounder clamps
 	}
 	return math.Float64frombits(rbits | bits&(1<<63)), true
 }
 
-// round rounds a float64 to the format's value set with round-to-
-// nearest-even in the format's own tie semantics. ok=false reports an
-// ambiguous double-rounding case the caller must resolve — either by
-// proving x is the exact result (re-round with exact=true; common for
-// sums, whose ties are real) or through the integer pipeline.
+// round rounds a float64 to the posit's value set with round-to-
+// nearest-even in pattern space. ok=false reports an ambiguous
+// double-rounding case the caller must resolve — either by proving x
+// is the exact result (re-round with exact=true; common for sums,
+// whose ties are real) or through the integer pipeline.
 func (t *roundTables) round(x float64, exact bool) (v float64, ok bool) {
 	if x == 0 {
-		if t.ieee {
-			return x, true // IEEE keeps the zero's sign
-		}
 		return 0, true // posit has a single zero
 	}
 	if math.IsNaN(x) {
 		return x, true
 	}
 	if math.IsInf(x, 0) {
-		if t.ieee {
-			return x, true
-		}
-		return math.NaN(), true // posit: infinite intermediates are NaR
+		return math.NaN(), true // infinite intermediates are NaR
 	}
 	neg := math.Signbit(x)
 	a := math.Abs(x)
@@ -125,27 +172,12 @@ func (t *roundTables) round(x float64, exact bool) (v float64, ok bool) {
 	if exp < t.minScale {
 		// Below the smallest representable scale. The region entry at
 		// minScale handles values just under minpos via its midpoint;
-		// anything under half of minpos lands here.
-		if t.ieee {
-			// exp < minScale = emin-frac-1 means a < minsub/2, which
-			// rounds to zero — unless a sits within an ulp of the
-			// halfway point, which is ambiguous.
-			if !exact && closeTo(a, t.minPosV/2) {
-				return 0, false
-			}
-			return signed(0, neg), true
-		}
-		return signed(t.minPosV, neg), true // posits never round to zero
+		// anything under half of minpos lands here. Posits never round
+		// to zero.
+		return signed(t.minPosV, neg), true
 	}
 	if exp > t.maxScale {
-		if t.ieee {
-			// Beyond 2^(maxScale+1): certainly infinity. Between
-			// maxFin and 2^(maxScale+1) the region entry at maxScale
-			// decides; exp > maxScale means at least 2^(maxScale+1),
-			// which is past the overflow threshold.
-			return signed(math.Inf(1), neg), true
-		}
-		return signed(t.maxFinV, neg), true
+		return signed(t.maxFinV, neg), true // posits clamp at maxpos
 	}
 
 	idx := exp - t.minScale
@@ -167,11 +199,7 @@ func (t *roundTables) round(x float64, exact bool) (v float64, ok bool) {
 		}
 		v = math.Ldexp(float64((1<<uint(fbits))+kept), exp-fbits)
 		if v > t.maxFinV {
-			if t.ieee {
-				v = math.Inf(1)
-			} else {
-				v = t.maxFinV
-			}
+			v = t.maxFinV
 		}
 		return signed(v, neg), true
 	}
@@ -195,13 +223,9 @@ func (t *roundTables) round(x float64, exact bool) (v float64, ok bool) {
 		}
 	}
 	if v > t.maxFinV {
-		if t.ieee {
-			v = math.Inf(1)
-		} else {
-			v = t.maxFinV
-		}
+		v = t.maxFinV
 	}
-	if v == 0 && !t.ieee {
+	if v == 0 {
 		v = t.minPosV
 	}
 	return signed(v, neg), true
@@ -244,26 +268,17 @@ func closeTo(a, b float64) bool {
 	return d >= -1 && d <= 1
 }
 
-// --- fast posit ---
+// --- wide posits ---
 
-type fastPosit struct {
-	c    posit.Config
-	t    *roundTables
-	kern *valueKernels
-	// ek is the exhaustive lookup-table engine, set for formats of at
-	// most 16 bits (see exact.go); nil means the roundTables path.
-	ek *exactKernels
+// widePosit is the fast implementation of a posit wider than 16 bits:
+// float64 arithmetic re-rounded through roundTables, with the integer
+// pipeline as the escape for ambiguous results.
+type widePosit struct {
+	c posit.Config
+	t *roundTables
 }
 
-// FastPosit builds the value-domain implementation of a posit format.
-// It is bit-compatible with Posit(c) in results; only the Num encoding
-// differs (float64 value bits instead of posit patterns). 8-bit
-// configurations get the fully tabulated ALU instead (posit.Table8);
-// wider formats up to 16 bits get the table-driven rounding engine.
-func FastPosit(c posit.Config) Format {
-	if c.N() == 8 {
-		return newTable8Format(c)
-	}
+func newWidePosit(c posit.Config) *widePosit {
 	t := &roundTables{
 		minScale: c.MinScale(),
 		maxScale: c.MaxScale(),
@@ -299,16 +314,7 @@ func FastPosit(c posit.Config) Format {
 		t.mid[i], _ = mv.Float64()
 		t.downOdd[i] = uint64(p)&1 == 1
 	}
-	fp := fastPosit{c: c, t: t}
-	if c.N() <= 16 {
-		// Every posit with n <= 16 is exact-product eligible: at most
-		// 14 significand bits and |scale| <= 224 (see exact.go).
-		fp.ek = &exactKernels{lt: lazyTables{build: func() *Tables { return tablesForPosit(c) }}}
-	}
-	// The kernel engine's rare-path closures capture fp by value; they
-	// only use c and t, so the nil kern inside the copy is harmless.
-	fp.kern = &valueKernels{t: t, add: fp.addVal, mul: fp.mulVal}
-	return fp
+	return &widePosit{c: c, t: t}
 }
 
 // rawFracBits is FracBitsAtScale without the clamp at zero: negative
@@ -328,18 +334,18 @@ func rawFracBits(c posit.Config, scale int) int {
 	return c.N() - 1 - rlen - c.ES()
 }
 
-func (p fastPosit) Name() string { return p.c.String() }
+func (p *widePosit) Name() string { return p.c.String() }
 
-func (p fastPosit) FromFloat64(x float64) Num {
+func (p *widePosit) FromFloat64(x float64) Num {
 	// An external float64 is its own exact value: ties are genuine.
 	v, _ := p.t.round(x, true)
 	return n64(v)
 }
 
-func (p fastPosit) ToFloat64(a Num) float64 { return f64(a) }
+func (p *widePosit) ToFloat64(a Num) float64 { return f64(a) }
 
 // exact2 reruns a binary operation through the integer pipeline.
-func (p fastPosit) exact2(op func(posit.Config, posit.Bits, posit.Bits) posit.Bits, a, b float64) Num {
+func (p *widePosit) exact2(op func(posit.Config, posit.Bits, posit.Bits) posit.Bits, a, b float64) Num {
 	r := op(p.c, p.c.FromFloat64(a), p.c.FromFloat64(b))
 	return n64(p.c.ToFloat64(r))
 }
@@ -347,7 +353,7 @@ func (p fastPosit) exact2(op func(posit.Config, posit.Bits, posit.Bits) posit.Bi
 // addVal and mulVal are Add and Mul in the value domain (float64 in,
 // float64 out); the Format methods and the slice kernels share them so
 // both paths round identically by construction.
-func (p fastPosit) addVal(x, y float64) float64 {
+func (p *widePosit) addVal(x, y float64) float64 {
 	r := x + y
 	if v, ok := p.t.round(r, false); ok {
 		return v
@@ -359,7 +365,7 @@ func (p fastPosit) addVal(x, y float64) float64 {
 	return f64(p.exact2(posit.Config.Add, x, y))
 }
 
-func (p fastPosit) mulVal(x, y float64) float64 {
+func (p *widePosit) mulVal(x, y float64) float64 {
 	r := x * y
 	if v, ok := p.t.round(r, false); ok {
 		return v
@@ -371,20 +377,10 @@ func (p fastPosit) mulVal(x, y float64) float64 {
 	return f64(p.exact2(posit.Config.Mul, x, y))
 }
 
-func (p fastPosit) Add(a, b Num) Num {
-	if p.ek != nil {
-		return n64(p.ek.add(f64(a), f64(b)))
-	}
-	return n64(p.addVal(f64(a), f64(b)))
-}
+func (p *widePosit) Add(a, b Num) Num { return n64(p.addVal(f64(a), f64(b))) }
 
-func (p fastPosit) Sub(a, b Num) Num {
+func (p *widePosit) Sub(a, b Num) Num {
 	x, y := f64(a), f64(b)
-	if p.ek != nil {
-		// Sub(a, b) = Add(a, -b): rounding is sign-symmetric and -y is
-		// exact.
-		return n64(p.ek.add(x, -y))
-	}
 	r := x - y
 	if v, ok := p.t.round(r, false); ok {
 		return n64(v)
@@ -396,27 +392,16 @@ func (p fastPosit) Sub(a, b Num) Num {
 	return p.exact2(posit.Config.Sub, x, y)
 }
 
-func (p fastPosit) Mul(a, b Num) Num {
-	if p.ek != nil {
-		return n64(p.ek.mul(f64(a), f64(b)))
-	}
-	return n64(p.mulVal(f64(a), f64(b)))
-}
+func (p *widePosit) Mul(a, b Num) Num { return n64(p.mulVal(f64(a), f64(b))) }
 
 // MulAdd fuses the pair in the value domain: product rounded, then sum
 // rounded — bit-identical to Add(Mul(a, b), c) with one dispatch.
-func (p fastPosit) MulAdd(a, b, c Num) Num {
-	if p.ek != nil {
-		return n64(p.ek.add(p.ek.mul(f64(a), f64(b)), f64(c)))
-	}
+func (p *widePosit) MulAdd(a, b, c Num) Num {
 	return n64(p.addVal(p.mulVal(f64(a), f64(b)), f64(c)))
 }
 
-func (p fastPosit) Div(a, b Num) Num {
+func (p *widePosit) Div(a, b Num) Num {
 	x, y := f64(a), f64(b)
-	if p.ek != nil {
-		return n64(p.ek.div(x, y))
-	}
 	if y == 0 {
 		return n64(math.NaN()) // posit: division by zero is NaR
 	}
@@ -431,11 +416,8 @@ func (p fastPosit) Div(a, b Num) Num {
 	return p.exact2(posit.Config.Div, x, y)
 }
 
-func (p fastPosit) Sqrt(a Num) Num {
+func (p *widePosit) Sqrt(a Num) Num {
 	x := f64(a)
-	if p.ek != nil {
-		return n64(p.ek.sqrtVal(x))
-	}
 	if x < 0 {
 		return n64(math.NaN())
 	}
@@ -451,233 +433,17 @@ func (p fastPosit) Sqrt(a Num) Num {
 	return n64(p.c.ToFloat64(rp))
 }
 
-func (p fastPosit) Neg(a Num) Num {
+func (p *widePosit) Neg(a Num) Num {
 	v := -f64(a)
 	if v == 0 {
 		v = 0 // posit has a single (positive) zero
 	}
 	return n64(v)
 }
-func (p fastPosit) Zero() Num         { return n64(0) }
-func (p fastPosit) One() Num          { return n64(1) }
-func (p fastPosit) IsZero(a Num) bool { return f64(a) == 0 }
-func (p fastPosit) Bad(a Num) bool    { return math.IsNaN(f64(a)) }
-func (p fastPosit) Less(a, b Num) bool {
-	return f64(a) < f64(b)
-}
-func (p fastPosit) Eps() float64 {
-	return math.Ldexp(1, -(p.c.FracBitsAtScale(0) + 1))
-}
-func (p fastPosit) MaxValue() float64 { return p.t.maxFinV }
-
-// Config exposes the posit configuration (see PositConfig).
-func (p fastPosit) Config() posit.Config { return p.c }
-
-// --- fast minifloat ---
-
-type fastMini struct {
-	f    minifloat.Format
-	name string
-	t    *roundTables
-	kern *valueKernels
-	// ek is the exhaustive lookup-table engine, set for eligible
-	// formats of at most 16 bits (see exact.go); nil means the
-	// roundTables path.
-	ek *exactKernels
-}
-
-// exactEligibleMini reports whether an IEEE format qualifies for the
-// table engine: tables must fit 2^16 entries and the product of any
-// two format values must be a normal float64 (exactness of the kernel
-// products; see exact.go).
-func exactEligibleMini(f minifloat.Format) bool {
-	frac := f.FracBits()
-	return f.Width() <= 16 &&
-		2*(frac+1) <= 53 &&
-		2*f.Emax()+2 <= 1022 &&
-		2*(f.Emin()-frac) >= -1020
-}
-
-// FastMini builds the value-domain implementation of an IEEE small
-// format, bit-compatible in results with the minifloat integer
-// pipeline.
-func FastMini(f minifloat.Format, name string) Format {
-	frac := f.FracBits()
-	t := &roundTables{
-		ieee:     true,
-		minScale: f.Emin() - frac - 1, // scale of the sub-minsub tie region
-		maxScale: f.Emax(),
-		minPosV:  f.ToFloat64(f.MinSubnormal()),
-		maxFinV:  f.MaxValue(),
-	}
-	t.maxFinBits = math.Float64bits(t.maxFinV)
-	n := t.maxScale - t.minScale + 1
-	t.fb = make([]int8, n)
-	t.down = make([]float64, n)
-	t.up = make([]float64, n)
-	t.mid = make([]float64, n)
-	t.downOdd = make([]bool, n)
-	for s := t.minScale; s <= t.maxScale; s++ {
-		i := s - t.minScale
-		fb := frac
-		if s < f.Emin() {
-			fb = s - (f.Emin() - frac)
-		}
-		t.fb[i] = int8(fb)
-		if fb >= 1 {
-			continue
-		}
-		// down = largest representable <= 2^s; IEEE midpoints are
-		// arithmetic means of adjacent representables.
-		down := math.Ldexp(1, s)
-		var downPat uint64
-		switch {
-		case fb == 0 && s >= f.Emin()-frac:
-			downPat = uint64(f.FromFloat64(down))
-		default: // s = emin-frac-1: below the smallest subnormal
-			down = 0
-			downPat = 0
-		}
-		up := t.minPosV
-		if down != 0 {
-			upPat := downPat + 1
-			up = f.ToFloat64(minifloat.Bits(upPat))
-		}
-		t.down[i] = down
-		t.up[i] = up
-		t.mid[i] = (down + up) / 2
-		t.downOdd[i] = downPat&1 == 1
-	}
-	fm := fastMini{f: f, name: name, t: t}
-	if exactEligibleMini(f) {
-		fm.ek = &exactKernels{lt: lazyTables{build: func() *Tables { return tablesForMini(f) }}}
-	}
-	fm.kern = &valueKernels{t: t, add: fm.addVal, mul: fm.mulVal}
-	return fm
-}
-
-func (m fastMini) Name() string { return m.name }
-
-func (m fastMini) FromFloat64(x float64) Num {
-	// An external float64 is its own exact value: ties are genuine.
-	v, _ := m.t.round(x, true)
-	return n64(v)
-}
-
-func (m fastMini) ToFloat64(a Num) float64 { return f64(a) }
-
-func (m fastMini) exact2(op func(minifloat.Format, minifloat.Bits, minifloat.Bits) minifloat.Bits, a, b float64) Num {
-	r := op(m.f, m.f.FromFloat64(a), m.f.FromFloat64(b))
-	return n64(m.f.ToFloat64(r))
-}
-
-// addVal and mulVal are Add and Mul in the value domain, shared by the
-// Format methods and the slice kernels (see fastPosit).
-func (m fastMini) addVal(x, y float64) float64 {
-	r := x + y
-	if v, ok := m.t.round(r, false); ok {
-		return v
-	}
-	if sumExact(x, y, r) {
-		v, _ := m.t.round(r, true)
-		return v
-	}
-	return f64(m.exact2(minifloat.Format.Add, x, y))
-}
-
-func (m fastMini) mulVal(x, y float64) float64 {
-	r := x * y
-	if v, ok := m.t.round(r, false); ok {
-		return v
-	}
-	if mulExact(x, y, r) {
-		v, _ := m.t.round(r, true)
-		return v
-	}
-	return f64(m.exact2(minifloat.Format.Mul, x, y))
-}
-
-func (m fastMini) Add(a, b Num) Num {
-	if m.ek != nil {
-		return n64(m.ek.add(f64(a), f64(b)))
-	}
-	return n64(m.addVal(f64(a), f64(b)))
-}
-
-func (m fastMini) Sub(a, b Num) Num {
-	x, y := f64(a), f64(b)
-	if m.ek != nil {
-		return n64(m.ek.add(x, -y))
-	}
-	r := x - y
-	if v, ok := m.t.round(r, false); ok {
-		return n64(v)
-	}
-	if sumExact(x, -y, r) {
-		v, _ := m.t.round(r, true)
-		return n64(v)
-	}
-	return m.exact2(minifloat.Format.Sub, x, y)
-}
-
-func (m fastMini) Mul(a, b Num) Num {
-	if m.ek != nil {
-		return n64(m.ek.mul(f64(a), f64(b)))
-	}
-	return n64(m.mulVal(f64(a), f64(b)))
-}
-
-// MulAdd fuses the pair in the value domain (see fastPosit.MulAdd).
-func (m fastMini) MulAdd(a, b, c Num) Num {
-	if m.ek != nil {
-		return n64(m.ek.add(m.ek.mul(f64(a), f64(b)), f64(c)))
-	}
-	return n64(m.addVal(m.mulVal(f64(a), f64(b)), f64(c)))
-}
-
-func (m fastMini) Div(a, b Num) Num {
-	x, y := f64(a), f64(b)
-	if m.ek != nil {
-		return n64(m.ek.div(x, y))
-	}
-	r := x / y
-	if v, ok := m.t.round(r, false); ok {
-		return n64(v)
-	}
-	if divExact(x, y, r) {
-		v, _ := m.t.round(r, true)
-		return n64(v)
-	}
-	return m.exact2(minifloat.Format.Div, x, y)
-}
-
-func (m fastMini) Sqrt(a Num) Num {
-	x := f64(a)
-	if m.ek != nil {
-		return n64(m.ek.sqrtVal(x))
-	}
-	r := math.Sqrt(x)
-	if v, ok := m.t.round(r, false); ok {
-		return n64(v)
-	}
-	if sqrtExact(x, r) {
-		v, _ := m.t.round(r, true)
-		return n64(v)
-	}
-	rp := m.f.Sqrt(m.f.FromFloat64(x))
-	return n64(m.f.ToFloat64(rp))
-}
-
-func (m fastMini) Neg(a Num) Num     { return n64(-f64(a)) }
-func (m fastMini) Zero() Num         { return n64(0) }
-func (m fastMini) One() Num          { return n64(1) }
-func (m fastMini) IsZero(a Num) bool { return f64(a) == 0 }
-func (m fastMini) Bad(a Num) bool {
-	v := f64(a)
-	return math.IsNaN(v) || math.IsInf(v, 0)
-}
-func (m fastMini) Less(a, b Num) bool { return f64(a) < f64(b) }
-func (m fastMini) Eps() float64 {
-	return math.Ldexp(1, -(m.f.FracBits() + 1))
-}
-func (m fastMini) MaxValue() float64 { return m.t.maxFinV }
+func (p *widePosit) Zero() Num          { return n64(0) }
+func (p *widePosit) One() Num           { return n64(1) }
+func (p *widePosit) IsZero(a Num) bool  { return f64(a) == 0 }
+func (p *widePosit) Bad(a Num) bool     { return math.IsNaN(f64(a)) }
+func (p *widePosit) Less(a, b Num) bool { return f64(a) < f64(b) }
+func (p *widePosit) Eps() float64       { return positEps(p.c) }
+func (p *widePosit) MaxValue() float64  { return p.t.maxFinV }

@@ -1,6 +1,7 @@
 package arith_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -22,6 +23,47 @@ var implPairs = []struct {
 	{"posit8e0", arith.FastPosit(posit.Posit8e0), arith.Posit(posit.Posit8e0)},
 	{"float16", arith.FastMini(minifloat.Float16, "Float16"), arith.Mini(minifloat.Float16, "Float16")},
 	{"bfloat16", arith.FastMini(minifloat.BFloat16, "BFloat16"), arith.Mini(minifloat.BFloat16, "BFloat16")},
+	// Too wide for the table engine: FastMini falls back to the reference.
+	{"binary32", arith.FastMini(binary32, "binary32"), arith.Mini(binary32, "binary32")},
+}
+
+var binary32 = minifloat.MustNew(8, 23)
+
+// TestEngineSelection pins the engine and the identity of every
+// registered format: the lookup tables for exactly the formats of at
+// most 16 bits, PositConfig for the posit names, MiniConfig for the
+// IEEE small formats. Shadow's reference engine, scaling.MuFor's μ and
+// /v1/convert's encodings all read these accessors.
+func TestEngineSelection(t *testing.T) {
+	widths := map[string]int{"float64": 64, "float32": 32, "float16": 16, "bfloat16": 16, "fp8e5m2": 8, "fp8e4m3": 8}
+	minis := map[string]bool{"float16": true, "bfloat16": true, "fp8e5m2": true, "fp8e4m3": true}
+	for _, name := range arith.Names() {
+		f := arith.MustByName(name)
+		var n, es int
+		_, err := fmt.Sscanf(name, "posit%des%d", &n, &es)
+		isPosit := err == nil
+		if !isPosit {
+			var ok bool
+			if n, ok = widths[name]; !ok {
+				t.Fatalf("%s: no expected width", name)
+			}
+		}
+		if _, ok := arith.TablesOf(f); ok != (n <= 16) {
+			t.Errorf("%s: TablesOf ok = %v for a %d-bit format", name, ok, n)
+		}
+		c, ok := arith.PositConfig(f)
+		if ok != isPosit || isPosit && (c.N() != n || c.ES() != es) {
+			t.Errorf("%s: PositConfig = %v, %v", name, c, ok)
+		}
+		m, ok := arith.MiniConfig(f)
+		if ok != minis[name] || ok && m.Width() != n {
+			t.Errorf("%s: MiniConfig ok = %v, width %d", name, ok, m.Width())
+		}
+	}
+	// implPairs checks binary32's results against the reference.
+	if f := arith.FastMini(binary32, "binary32"); f != arith.Mini(binary32, "binary32") {
+		t.Errorf("FastMini(binary32) = %T, want the reference Mini", f)
+	}
 }
 
 // sameValue compares results across implementations: NaN matches NaN,

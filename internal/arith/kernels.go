@@ -13,9 +13,12 @@ package arith
 // rounding) but never the roundings themselves, which the differential
 // tests in kernels_test.go assert format by format.
 //
-// Callers obtain kernels through BulkOf, which falls back to a generic
-// scalar implementation so every Format — including instrumented
-// wrappers and the slow integer-pipeline references — works unchanged.
+// Every fast format implements BulkFormat on its own engine: the
+// lookup-table formats in exact.go, the wide posits and the native
+// float64/float32 below. Callers obtain kernels through BulkOf, which
+// falls back to a generic scalar implementation so every Format —
+// including instrumented wrappers and the slow integer-pipeline
+// references — works unchanged.
 
 // BulkFormat is the optional slice-kernel interface of a Format.
 // Semantics, in terms of the format's scalar operations (all loops
@@ -130,102 +133,97 @@ func (s scalarKernels) DivKernel(alpha Num, x []Num) {
 	}
 }
 
-// --- value-domain kernels (fast formats) ---
+// --- value-domain kernels (posits wider than 16 bits) ---
+//
+// widePosit's inner loops compute in float64 and re-round every
+// operation through roundTables.roundHot — no interface dispatch, no
+// call on the common path — falling back to the scalar addVal/mulVal
+// (general rounder plus integer-pipeline escape) for zeros, exceptional
+// values, extreme scales, and double-rounding ambiguities. Bit-identity
+// with the scalar methods holds by construction: roundHot agrees with
+// the general rounder whenever it succeeds, and the fallback *is* the
+// scalar path.
 
-// valueKernels is the shared kernel engine of the fast value-domain
-// formats (fastPosit, fastMini). The inner loops compute in float64
-// and re-round every operation through roundTables.roundHot — no
-// interface dispatch, no call on the common path — falling back to the
-// format's full addVal/mulVal (general rounder plus integer-pipeline
-// escape) for zeros, exceptional values, extreme scales, and
-// double-rounding ambiguities. Bit-identity with the scalar methods
-// holds by construction: roundHot agrees with the general rounder
-// whenever it succeeds, and the fallback *is* the scalar path.
-type valueKernels struct {
-	t        *roundTables
-	add, mul func(x, y float64) float64
-}
-
-func (k *valueKernels) dot(x, y []Num) Num {
-	t := k.t
+func (p *widePosit) DotKernel(x, y []Num) Num {
+	t := p.t
 	s := 0.0
 	for i := range x {
 		xi, yi := f64(x[i]), f64(y[i])
 		m, ok := t.roundHot(xi * yi)
 		if !ok {
-			m = k.mul(xi, yi)
+			m = p.mulVal(xi, yi)
 		}
 		v, ok := t.roundHot(s + m)
 		if !ok {
-			v = k.add(s, m)
+			v = p.addVal(s, m)
 		}
 		s = v
 	}
 	return n64(s)
 }
 
-func (k *valueKernels) axpy(alpha Num, x, y []Num) {
-	t := k.t
+func (p *widePosit) AxpyKernel(alpha Num, x, y []Num) {
+	t := p.t
 	a := f64(alpha)
 	for i := range x {
 		xi := f64(x[i])
 		m, ok := t.roundHot(a * xi)
 		if !ok {
-			m = k.mul(a, xi)
+			m = p.mulVal(a, xi)
 		}
 		yi := f64(y[i])
 		v, ok := t.roundHot(yi + m)
 		if !ok {
-			v = k.add(yi, m)
+			v = p.addVal(yi, m)
 		}
 		y[i] = n64(v)
 	}
 }
 
-func (k *valueKernels) scale(alpha Num, x []Num) {
-	t := k.t
+func (p *widePosit) ScaleKernel(alpha Num, x []Num) {
+	t := p.t
 	a := f64(alpha)
 	for i := range x {
 		xi := f64(x[i])
 		v, ok := t.roundHot(a * xi)
 		if !ok {
-			v = k.mul(a, xi)
+			v = p.mulVal(a, xi)
 		}
 		x[i] = n64(v)
 	}
 }
 
-func (k *valueKernels) mulAdd(alpha Num, x, y, dst []Num) {
-	t := k.t
+func (p *widePosit) MulAddKernel(alpha Num, x, y, dst []Num) {
+	t := p.t
 	a := f64(alpha)
 	for i := range x {
 		xi := f64(x[i])
 		m, ok := t.roundHot(a * xi)
 		if !ok {
-			m = k.mul(a, xi)
+			m = p.mulVal(a, xi)
 		}
 		yi := f64(y[i])
 		v, ok := t.roundHot(m + yi)
 		if !ok {
-			v = k.add(m, yi)
+			v = p.addVal(m, yi)
 		}
 		dst[i] = n64(v)
 	}
 }
 
-func (k *valueKernels) matVec(rowPtr, col []int, val []Num, x, y []Num) {
-	t := k.t
+func (p *widePosit) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
+	t := p.t
 	for i := 0; i+1 < len(rowPtr); i++ {
 		s := 0.0
 		for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
 			vi, xi := f64(val[idx]), f64(x[col[idx]])
 			m, ok := t.roundHot(vi * xi)
 			if !ok {
-				m = k.mul(vi, xi)
+				m = p.mulVal(vi, xi)
 			}
 			v, ok := t.roundHot(s + m)
 			if !ok {
-				v = k.add(s, m)
+				v = p.addVal(s, m)
 			}
 			s = v
 		}
@@ -233,21 +231,13 @@ func (k *valueKernels) matVec(rowPtr, col []int, val []Num, x, y []Num) {
 	}
 }
 
-func (k *valueKernels) trailingUpdate(nalpha Num, x, w []Num) {
-	t := k.t
-	a := f64(nalpha)
+func (p *widePosit) TrailingUpdateKernel(nalpha Num, x, w []Num) {
+	trailingUpdate(nalpha, x, w, p.MulAddKernel)
+}
+
+func (p *widePosit) DivKernel(alpha Num, x []Num) {
 	for i := range x {
-		xi := f64(x[i])
-		m, ok := t.roundHot(a * xi)
-		if !ok {
-			m = k.mul(a, xi)
-		}
-		wi := f64(w[i])
-		v, ok := t.roundHot(m + wi)
-		if !ok {
-			v = k.add(m, wi)
-		}
-		w[i] = n64(v)
+		x[i] = p.Div(x[i], alpha)
 	}
 }
 
@@ -255,20 +245,22 @@ func (k *valueKernels) trailingUpdate(nalpha Num, x, w []Num) {
 // finite.
 const expBits64 = uint64(0x7FF) << 52
 
-// trailingUpdate is the TrailingUpdateKernel of both fast formats. A
-// zero scale leaves w[i] as it is whenever x[i] and w[i] are finite:
-// fl(±0·x[i]) is a zero, and a zero plus a finite format value is that
-// value. The one exception is IEEE's −0 + +0 = +0, so w[i] = −0 under a
-// +0 product (sign(nalpha) = sign(x[i])) takes the engine, as does
-// every non-finite operand. A Cholesky row whose multiplier is zero —
-// most rows of a banded or sparse matrix stored dense — then costs one
-// read pass instead of 2·len(x) roundings.
+// trailingUpdate is the TrailingUpdateKernel of both fast engines,
+// with the engine's MulAddKernel as mulAdd: w[i] = MulAdd(nalpha, x[i],
+// w[i]) is mulAdd with dst = y = w. A zero scale leaves w[i] as it is
+// whenever x[i] and w[i] are finite: fl(±0·x[i]) is a zero, and a zero
+// plus a finite format value is that value. The one exception is
+// IEEE's −0 + +0 = +0, so w[i] = −0 under a +0 product (sign(nalpha) =
+// sign(x[i])) takes mulAdd, as does every non-finite operand. A
+// Cholesky row whose multiplier is zero — most rows of a banded or
+// sparse matrix stored dense — then costs one read pass instead of
+// 2·len(x) roundings.
 //
 // The instrumented wrappers still count every element, and the shadow
 // wrapper records a zero-scale call's sampled operations in bulk.
-func trailingUpdate(ek *exactKernels, kern *valueKernels, nalpha Num, x, w []Num) {
+func trailingUpdate(nalpha Num, x, w []Num, mulAdd func(alpha Num, x, y, dst []Num)) {
 	if uint64(nalpha)&^signBit64 != 0 {
-		updateEngine(ek, kern, nalpha, x, w)
+		mulAdd(nalpha, x, w, w)
 		return
 	}
 	w = w[:len(x)]
@@ -279,115 +271,7 @@ func trailingUpdate(ek *exactKernels, kern *valueKernels, nalpha Num, x, w []Num
 			(wb != signBit64 || xb&signBit64 != ns) {
 			continue
 		}
-		updateEngine(ek, kern, nalpha, x[i:i+1], w[i:i+1])
-	}
-}
-
-// updateEngine runs the trailing update on the format's engine: the
-// table engine when eligible (ek set; see exact.go), the roundTables
-// engine otherwise.
-func updateEngine(ek *exactKernels, kern *valueKernels, nalpha Num, x, w []Num) {
-	if ek != nil {
-		ek.fma(f64(nalpha), x, w, w)
-		return
-	}
-	kern.trailingUpdate(nalpha, x, w)
-}
-
-// The fast formats dispatch to the table engine when eligible (ek set;
-// see exact.go) and to the roundTables engine otherwise.
-
-func (p fastPosit) DotKernel(x, y []Num) Num {
-	if p.ek != nil {
-		return p.ek.dot(x, y)
-	}
-	return p.kern.dot(x, y)
-}
-func (p fastPosit) AxpyKernel(alpha Num, x, y []Num) {
-	if p.ek != nil {
-		p.ek.fma(f64(alpha), x, y, y)
-		return
-	}
-	p.kern.axpy(alpha, x, y)
-}
-func (p fastPosit) ScaleKernel(alpha Num, x []Num) {
-	if p.ek != nil {
-		p.ek.scale(alpha, x)
-		return
-	}
-	p.kern.scale(alpha, x)
-}
-func (p fastPosit) MulAddKernel(a Num, x, y, dst []Num) {
-	if p.ek != nil {
-		p.ek.fma(f64(a), x, y, dst)
-		return
-	}
-	p.kern.mulAdd(a, x, y, dst)
-}
-func (p fastPosit) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
-	if p.ek != nil {
-		p.ek.matVec(rowPtr, col, val, x, y)
-		return
-	}
-	p.kern.matVec(rowPtr, col, val, x, y)
-}
-func (p fastPosit) TrailingUpdateKernel(nalpha Num, x, w []Num) {
-	trailingUpdate(p.ek, p.kern, nalpha, x, w)
-}
-func (p fastPosit) DivKernel(alpha Num, x []Num) {
-	if p.ek != nil {
-		p.ek.divK(alpha, x)
-		return
-	}
-	for i := range x {
-		x[i] = p.Div(x[i], alpha)
-	}
-}
-
-func (m fastMini) DotKernel(x, y []Num) Num {
-	if m.ek != nil {
-		return m.ek.dot(x, y)
-	}
-	return m.kern.dot(x, y)
-}
-func (m fastMini) AxpyKernel(alpha Num, x, y []Num) {
-	if m.ek != nil {
-		m.ek.fma(f64(alpha), x, y, y)
-		return
-	}
-	m.kern.axpy(alpha, x, y)
-}
-func (m fastMini) ScaleKernel(alpha Num, x []Num) {
-	if m.ek != nil {
-		m.ek.scale(alpha, x)
-		return
-	}
-	m.kern.scale(alpha, x)
-}
-func (m fastMini) MulAddKernel(a Num, x, y, dst []Num) {
-	if m.ek != nil {
-		m.ek.fma(f64(a), x, y, dst)
-		return
-	}
-	m.kern.mulAdd(a, x, y, dst)
-}
-func (m fastMini) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
-	if m.ek != nil {
-		m.ek.matVec(rowPtr, col, val, x, y)
-		return
-	}
-	m.kern.matVec(rowPtr, col, val, x, y)
-}
-func (m fastMini) TrailingUpdateKernel(nalpha Num, x, w []Num) {
-	trailingUpdate(m.ek, m.kern, nalpha, x, w)
-}
-func (m fastMini) DivKernel(alpha Num, x []Num) {
-	if m.ek != nil {
-		m.ek.divK(alpha, x)
-		return
-	}
-	for i := range x {
-		x[i] = m.Div(x[i], alpha)
+		mulAdd(nalpha, x[i:i+1], w[i:i+1], w[i:i+1])
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 	"sync/atomic"
 
 	"positlab/internal/faultfs"
-	"positlab/internal/minifloat"
-	"positlab/internal/posit"
 )
 
 // Process-wide table registry.
@@ -45,7 +43,6 @@ const tableMagic = "PLTAB1\n"
 type tableEntry struct {
 	once sync.Once
 	tab  *Tables
-	t8   *posit.Table8
 }
 
 var tableReg = struct {
@@ -148,47 +145,12 @@ func tableEntryFor(spec string) (*tableEntry, string) {
 	return e, dir
 }
 
-func tablesForPosit(c posit.Config) *Tables {
-	e, dir := tableEntryFor(positSpec(c))
-	e.once.Do(func() {
-		e.tab = loadOrBuildTables(dir, positSpec(c), func() *Tables { return buildPositTables(c) })
-	})
-	return e.tab
-}
-
-func tablesForMini(f minifloat.Format) *Tables {
-	e, dir := tableEntryFor(miniSpec(f))
-	e.once.Do(func() {
-		e.tab = loadOrBuildTables(dir, miniSpec(f), func() *Tables { return buildMiniTables(f) })
-	})
-	return e.tab
-}
-
-func table8For(c posit.Config) *posit.Table8 {
-	spec := "table8_" + positSpec(c)
+// tablesFor returns the process-wide tables of spec, loading or
+// building them on first use.
+func tablesFor(spec string, build func() *Tables) *Tables {
 	e, dir := tableEntryFor(spec)
-	e.once.Do(func() {
-		if dir != "" {
-			if body, err := readTableCache(dir, spec); err == nil {
-				if t, err := posit.UnmarshalTable8(c, body); err == nil {
-					e.t8 = t
-					return
-				}
-			}
-		}
-		tableBuilds.Add(1)
-		t, err := posit.NewTable8(c)
-		if err != nil {
-			// Unreachable: newTable8Format gates on c.N() == 8, the only
-			// condition NewTable8 rejects.
-			panic(err) //lint:allow panics invariant check: table8For is only reachable for 8-bit configs
-		}
-		e.t8 = t
-		if dir != "" {
-			writeTableCache(dir, spec, t.MarshalBinary())
-		}
-	})
-	return e.t8
+	e.once.Do(func() { e.tab = loadOrBuildTables(dir, spec, build) })
+	return e.tab
 }
 
 func loadOrBuildTables(dir, spec string, build func() *Tables) *Tables {
@@ -430,6 +392,58 @@ func unmarshalTables(spec string, body []byte) (*Tables, error) {
 	if t.minScale+1023 < 0 || t.minScale+nfb+1023 > 2048 {
 		return nil, errors.New("arith: table cache scale range out of bounds")
 	}
+	if err := t.checkValues(); err != nil {
+		return nil, err
+	}
 	t.finalize()
 	return t, nil
+}
+
+// checkValues rejects a decoded body whose lengths agree but whose
+// values do not: every pattern it stores must lie within the width
+// (the unary tables and the specials index decode directly), the cuts
+// must ascend from zero for the boundary search, every fraction width
+// must leave a nonzero discard in dropByE, and the overflow bound must
+// be maxpos's own value.
+func (t *Tables) checkValues() error {
+	bad := func(what string) error {
+		return fmt.Errorf("arith: table cache body has an inconsistent %s", what)
+	}
+	if t.patMask != uint16(1<<uint(t.width)-1) || t.maxPat >= 1<<uint(t.width-1) {
+		return bad("pattern range")
+	}
+	for _, p := range [...]uint16{t.signPat, t.nanPat, t.infPat} {
+		if p > t.patMask {
+			return bad("special pattern")
+		}
+	}
+	for _, tab := range [...][]uint16{t.sqrt, t.recip} {
+		for _, p := range tab {
+			if p > t.patMask {
+				return bad("unary table")
+			}
+		}
+	}
+	for _, p := range t.patBase {
+		if uint32(p) > t.maxPat {
+			return bad("binade base pattern")
+		}
+	}
+	if t.cut[0] != 0 {
+		return bad("boundary table")
+	}
+	for i := 1; i < len(t.cut); i++ {
+		if t.cut[i] <= t.cut[i-1] {
+			return bad("boundary table")
+		}
+	}
+	for _, b := range t.fb {
+		if int(b) >= t.width {
+			return bad("fraction width")
+		}
+	}
+	if t.maxFinBits != math.Float64bits(t.decode[t.maxPat]) {
+		return bad("overflow bound")
+	}
+	return nil
 }

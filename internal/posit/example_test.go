@@ -59,11 +59,3 @@ func ExampleP32From() {
 	fmt.Println(sum, sum.Sqrt().IsNaR(), sum.Neg())
 	// Output: 3.75 false -3.75
 }
-
-func ExampleNewTable8() {
-	tab, _ := posit.NewTable8(posit.Posit8e0)
-	c := tab.Config()
-	r := tab.Mul(c.FromFloat64(1.5), c.FromFloat64(2))
-	fmt.Println(c.ToFloat64(r))
-	// Output: 3
-}
