@@ -1,12 +1,12 @@
 # Developer entry points. `make verify` is the repo's gate: gofmt,
-# vet, build, the positlint static-analysis suite, the full test suite,
-# and a race-detector pass over every package.
+# vet, build, the inline guard, the positlint static-analysis suite, the
+# full test suite, and a race-detector pass over every package.
 
 GO ?= go
 
-.PHONY: verify fmt vet build lint test race serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
+.PHONY: verify fmt vet build inline lint test race serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
 
-verify: fmt vet build lint test race
+verify: fmt vet build inline lint test race
 
 # Fail, naming the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -17,6 +17,18 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Fail, naming the function, when a rounding helper that the fast
+# engines' kernel loops call on their common path is no longer
+# inlinable: past Go's inline budget it becomes a call per element.
+INLINE_HELPERS := roundBits sumTieUp
+
+inline:
+	@out=$$($(GO) build -gcflags=-m ./internal/arith 2>&1) || { echo "$$out"; exit 1; }; \
+	for fn in $(INLINE_HELPERS); do \
+		echo "$$out" | grep -qE "can inline $$fn( |$$)" || \
+			{ echo "internal/arith: $$fn is no longer inlinable (go build -gcflags=-m)"; exit 1; }; \
+	done
 
 # positlint: the repo-specific analyzers (precision laundering,
 # deterministic output, lock hygiene, error discipline, panic
@@ -56,7 +68,8 @@ bench-runner:
 	time /tmp/positlab-experiments -jobs 4 all >/dev/null
 
 # Reproduce BENCH_kernels.json: the slice-kernel hot loops (dot, CSR
-# matvec, Cholesky) across formats.
+# matvec, Cholesky of the 1-D Laplacian and of a dense matrix) across
+# formats.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Dot1024|MatVec1000|Cholesky200' -benchtime 2s ./internal/linalg/
 

@@ -27,14 +27,16 @@ import (
 //     re-rounds through per-scale roundTables.
 //
 // widePosit preserves correct rounding exactly. The hazard of computing
-// through float64 is double rounding: the float64-rounded result can
-// sit so close to a rounding boundary of the target format that it
-// rounds differently than the exact result would. The rounder detects
-// every such ambiguity conservatively — the discarded bits landing
-// within one 53-bit ulp of the halfway pattern — and falls back to the
-// exact integer pipeline for that operation. The ambiguous band has
-// width 2^-(53-p) of an ulp, so fallbacks are vanishingly rare (~1e-7
-// for posit32) and the fast path is bit-identical to the slow path,
+// through float64 is double rounding: the float64-rounded result of an
+// operation may round differently than the exact result would. It can
+// only do so when it lands exactly on a rounding boundary of the
+// target format. Every such boundary of a posit of at most 32 bits is
+// itself a float64 value, and the float64 result r is the float64
+// nearest the exact result; so when r is not on a boundary B, the
+// exact result is on r's side of B, and rounding r rounds the exact
+// result. Only a result exactly on a boundary leaves the inline path,
+// and resolves by an exact residual or the integer pipeline (see
+// roundTables.round). The fast path is bit-identical to the slow path,
 // which differential tests assert.
 
 // FastPosit builds the fast implementation of a posit format. It is
@@ -84,74 +86,50 @@ func exactEligibleMini(f minifloat.Format) bool {
 		2*(f.Emin()-frac) >= -1020
 }
 
-// roundTables drives value-domain rounding for one posit format.
+// roundTables drives value-domain rounding for one posit format wider
+// than 16 bits.
 type roundTables struct {
 	minScale int // scale of minpos
 	maxScale int // scale of maxpos
-	// fb[s-minScale]: explicit fraction bits at scale s. Negative
-	// values mark scales where the cut reaches the exponent/regime
-	// fields near the ends of the range; those go through the region
-	// tables below.
-	fb []int8
-	// Region tables, populated where fb <= 0: the bracketing
-	// representable values around 2^s, the rounding midpoint between
-	// them, and the parity of the lower pattern (for ties).
+	// dropByE[e] for a float64 biased exponent e: the number of
+	// mantissa bits to discard when rounding a magnitude with that
+	// exponent, or 0 where the inline path does not apply (zeros,
+	// subnormals, specials, out-of-range and region scales) — the same
+	// table as Tables.dropByE. Scales with explicit fraction bits form
+	// one run in the middle of the range, and a carry out of the run's
+	// top binade lands on a power of two the format represents, so a
+	// magnitude rounded at dropByE never overflows.
+	dropByE [2048]uint8
+	// Region tables, indexed by s-minScale and populated where the
+	// scale has no explicit fraction bits: the bracketing representable
+	// values around 2^s, the rounding midpoint between them, and the
+	// parity of the lower pattern (for ties).
 	down, up, mid []float64
 	downOdd       []bool
 	minPosV       float64 // minpos: underflow clamps here
 	maxFinV       float64 // maxpos: overflow clamps here
-	// maxFinBits is math.Float64bits(maxFinV), for the bit-domain
-	// overflow check on the kernel hot path.
-	maxFinBits uint64
-}
-
-// roundHot rounds x on the common path — finite, nonzero, in a scale
-// region with explicit fraction bits, away from any double-rounding
-// ambiguity, and not overflowing — entirely in integer registers.
-// ok=false sends the caller to the full round/fallback path; whenever
-// both succeed the result is bit-identical to round(x, false). This is
-// the slice-kernel inner loop: one call-free rounding step instead of
-// an interface dispatch plus the general rounder.
-func (t *roundTables) roundHot(x float64) (float64, bool) {
-	bits := math.Float64bits(x)
-	abits := bits &^ (1 << 63)
-	e := int(abits >> 52)
-	// e == 0 covers zeros and float64 subnormals; e == 2047 covers
-	// NaN/Inf; out-of-table scales cover under/overflow and the region
-	// path. All bail to the general rounder.
-	idx := e - 1023 - t.minScale
-	if e == 0 || uint(idx) >= uint(len(t.fb)) {
-		return 0, false
-	}
-	fbits := int(t.fb[idx])
-	if fbits < 1 {
-		return 0, false
-	}
-	drop := uint(52 - fbits)
-	discarded := abits & (1<<drop - 1)
-	half := uint64(1) << (drop - 1)
-	// Ambiguous double-rounding band: discarded ∈ {half-1, half, half+1}.
-	if discarded-(half-1) <= 2 {
-		return 0, false
-	}
-	rbits := abits - discarded
-	if discarded > half {
-		// Round up; a mantissa carry flows into the exponent field and
-		// lands exactly on the next power of two.
-		rbits += 1 << drop
-	}
-	if rbits > t.maxFinBits {
-		return 0, false // overflow: the general rounder clamps
-	}
-	return math.Float64frombits(rbits | bits&(1<<63)), true
 }
 
 // round rounds a float64 to the posit's value set with round-to-
-// nearest-even in pattern space. ok=false reports an ambiguous
-// double-rounding case the caller must resolve — either by proving x
-// is the exact result (re-round with exact=true; common for sums,
-// whose ties are real) or through the integer pipeline.
+// nearest-even in pattern space. ok=false reports x exactly on a
+// rounding boundary when it is only the float64 image of the result:
+// the caller must find which side the exact result is on — either by
+// proving x is the exact result (re-round with exact=true; a genuine
+// tie, common for sums) or through the integer pipeline. Off a
+// boundary, x rounds as the exact result does (see the header above).
 func (t *roundTables) round(x float64, exact bool) (v float64, ok bool) {
+	ab := math.Float64bits(x)
+	sb := ab & signBit64
+	ab ^= sb
+	if drop := uint(t.dropByE[ab>>52]) & 63; drop != 0 {
+		mask := uint64(1)<<drop - 1
+		if !exact && ab&mask == mask>>1+1 {
+			return 0, false
+		}
+		// A genuine tie goes to the even pattern: the kept-bit parity
+		// is the pattern parity where there are explicit fraction bits.
+		return math.Float64frombits(roundBits(ab, mask, ab>>drop&1) | sb), true
+	}
 	if x == 0 {
 		return 0, true // posit has a single zero
 	}
@@ -161,14 +139,10 @@ func (t *roundTables) round(x float64, exact bool) (v float64, ok bool) {
 	if math.IsInf(x, 0) {
 		return math.NaN(), true // infinite intermediates are NaR
 	}
-	neg := math.Signbit(x)
-	a := math.Abs(x)
-	bits := math.Float64bits(a)
-	exp := int(bits>>52) - 1023
-	if bits>>52 == 0 {
-		exp = -1023 // subnormal float64: far below every format's range
-	}
-
+	neg := sb != 0
+	// A float64 subnormal has exponent field 0: far below every
+	// format's range.
+	exp := int(ab>>52) - 1023
 	if exp < t.minScale {
 		// Below the smallest representable scale. The region entry at
 		// minScale handles values just under minpos via its midpoint;
@@ -180,34 +154,12 @@ func (t *roundTables) round(x float64, exact bool) (v float64, ok bool) {
 		return signed(t.maxFinV, neg), true // posits clamp at maxpos
 	}
 
-	idx := exp - t.minScale
-	fbits := int(t.fb[idx])
-	if fbits >= 1 {
-		drop := uint(52 - fbits)
-		mant := bits & (1<<52 - 1)
-		kept := mant >> drop
-		discarded := mant & (1<<drop - 1)
-		half := uint64(1) << (drop - 1)
-		// Ambiguity: discarded within one 53-bit ulp of halfway. If x
-		// is known exact, discarded == half is a genuine tie and the
-		// neighbors are unambiguous.
-		if !exact && discarded >= half-1 && discarded <= half+1 {
-			return 0, false
-		}
-		if discarded > half || (discarded == half && kept&1 == 1) {
-			kept++
-		}
-		v = math.Ldexp(float64((1<<uint(fbits))+kept), exp-fbits)
-		if v > t.maxFinV {
-			v = t.maxFinV
-		}
-		return signed(v, neg), true
-	}
-
 	// Region path: zero or negative fraction bits — the value rounds
 	// between down[s] and up[s] with the format's own midpoint.
+	idx := exp - t.minScale
+	a := math.Float64frombits(ab)
 	down, up, mid := t.down[idx], t.up[idx], t.mid[idx]
-	if !exact && closeTo(a, mid) {
+	if !exact && a == mid {
 		return 0, false
 	}
 	switch {
@@ -260,19 +212,11 @@ func sqrtExact(x, r float64) bool {
 	return math.FMA(r, r, -x) == 0
 }
 
-// closeTo reports |a-b| within one float64 ulp, via pattern distance
-// (both positive finite).
-func closeTo(a, b float64) bool {
-	ba, bb := int64(math.Float64bits(a)), int64(math.Float64bits(b))
-	d := ba - bb
-	return d >= -1 && d <= 1
-}
-
 // --- wide posits ---
 
 // widePosit is the fast implementation of a posit wider than 16 bits:
 // float64 arithmetic re-rounded through roundTables, with the integer
-// pipeline as the escape for ambiguous results.
+// pipeline as the escape for results exactly on a boundary.
 type widePosit struct {
 	c posit.Config
 	t *roundTables
@@ -285,19 +229,17 @@ func newWidePosit(c posit.Config) *widePosit {
 		minPosV:  c.ToFloat64(c.MinPos()),
 		maxFinV:  c.ToFloat64(c.MaxPos()),
 	}
-	t.maxFinBits = math.Float64bits(t.maxFinV)
 	n := t.maxScale - t.minScale + 1
-	t.fb = make([]int8, n)
 	t.down = make([]float64, n)
 	t.up = make([]float64, n)
 	t.mid = make([]float64, n)
 	t.downOdd = make([]bool, n)
 	for s := t.minScale; s <= t.maxScale; s++ {
-		i := s - t.minScale
-		t.fb[i] = int8(rawFracBits(c, s))
-		if t.fb[i] >= 1 {
+		if fb := rawFracBits(c, s); fb >= 1 {
+			t.dropByE[s+1023] = uint8(52 - fb)
 			continue
 		}
+		i := s - t.minScale
 		// Largest posit <= 2^s.
 		p := c.FromFloat64(math.Ldexp(1, s))
 		if c.ToFloat64(p) > math.Ldexp(1, s) {
@@ -351,8 +293,8 @@ func (p *widePosit) exact2(op func(posit.Config, posit.Bits, posit.Bits) posit.B
 }
 
 // addVal and mulVal are Add and Mul in the value domain (float64 in,
-// float64 out); the Format methods and the slice kernels share them so
-// both paths round identically by construction.
+// float64 out): the scalar operations, and the slice kernels' way off
+// their inline paths, so both round identically by construction.
 func (p *widePosit) addVal(x, y float64) float64 {
 	r := x + y
 	if v, ok := p.t.round(r, false); ok {
@@ -379,18 +321,8 @@ func (p *widePosit) mulVal(x, y float64) float64 {
 
 func (p *widePosit) Add(a, b Num) Num { return n64(p.addVal(f64(a), f64(b))) }
 
-func (p *widePosit) Sub(a, b Num) Num {
-	x, y := f64(a), f64(b)
-	r := x - y
-	if v, ok := p.t.round(r, false); ok {
-		return n64(v)
-	}
-	if sumExact(x, -y, r) {
-		v, _ := p.t.round(r, true)
-		return n64(v)
-	}
-	return p.exact2(posit.Config.Sub, x, y)
-}
+// Sub(a, b) = Add(a, -b): rounding is sign-symmetric and -b is exact.
+func (p *widePosit) Sub(a, b Num) Num { return n64(p.addVal(f64(a), -f64(b))) }
 
 func (p *widePosit) Mul(a, b Num) Num { return n64(p.mulVal(f64(a), f64(b))) }
 

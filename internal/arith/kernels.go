@@ -1,5 +1,7 @@
 package arith
 
+import "math"
+
 // Slice-level kernels.
 //
 // The solvers' wall time is dominated by per-scalar interface dispatch:
@@ -135,97 +137,155 @@ func (s scalarKernels) DivKernel(alpha Num, x []Num) {
 
 // --- value-domain kernels (posits wider than 16 bits) ---
 //
-// widePosit's inner loops compute in float64 and re-round every
-// operation through roundTables.roundHot — no interface dispatch, no
-// call on the common path — falling back to the scalar addVal/mulVal
-// (general rounder plus integer-pipeline escape) for zeros, exceptional
-// values, extreme scales, and double-rounding ambiguities. Bit-identity
-// with the scalar methods holds by construction: roundHot agrees with
-// the general rounder whenever it succeeds, and the fallback *is* the
-// scalar path.
+// widePosit's inner loops compute in float64 and round every result
+// inline, as the table engine's loops do: one dropByE load, then
+// roundBits with no branch on the rounding direction (a result off a
+// boundary needs no tie rule) and no call. A zero result is the one
+// posit zero. Everything else — specials, region scales, and results
+// exactly on a rounding boundary — takes the scalar addVal/mulVal or
+// Div, so bit-identity with the scalar methods holds by construction:
+// the inline step is round's own common path, and the fallback *is*
+// the scalar path. The loops repeat the step instead of sharing a
+// helper for it: such a helper sits at the edge of Go's inline budget,
+// where one more operation turns it into a call per element.
 
 func (p *widePosit) DotKernel(x, y []Num) Num {
-	t := p.t
+	drops := &p.t.dropByE
+	y = y[:len(x)]
 	s := 0.0
 	for i := range x {
 		xi, yi := f64(x[i]), f64(y[i])
-		m, ok := t.roundHot(xi * yi)
-		if !ok {
+		m := xi * yi
+		ab := math.Float64bits(m)
+		sb := ab & signBit64
+		ab ^= sb
+		drop := uint(drops[ab>>52]) & 63
+		mask := uint64(1)<<drop - 1
+		switch {
+		case drop != 0 && ab&mask != mask>>1+1:
+			m = math.Float64frombits(roundBits(ab, mask, 0) | sb)
+		case ab == 0:
+			m = 0
+		default:
 			m = p.mulVal(xi, yi)
 		}
-		v, ok := t.roundHot(s + m)
-		if !ok {
-			v = p.addVal(s, m)
+		r := s + m
+		ab = math.Float64bits(r)
+		sb = ab & signBit64
+		ab ^= sb
+		drop = uint(drops[ab>>52]) & 63
+		mask = uint64(1)<<drop - 1
+		switch {
+		case drop != 0 && ab&mask != mask>>1+1:
+			s = math.Float64frombits(roundBits(ab, mask, 0) | sb)
+		case ab == 0:
+			s = 0
+		default:
+			s = p.addVal(s, m)
 		}
-		s = v
 	}
 	return n64(s)
 }
 
-func (p *widePosit) AxpyKernel(alpha Num, x, y []Num) {
-	t := p.t
-	a := f64(alpha)
-	for i := range x {
-		xi := f64(x[i])
-		m, ok := t.roundHot(a * xi)
-		if !ok {
-			m = p.mulVal(a, xi)
-		}
-		yi := f64(y[i])
-		v, ok := t.roundHot(yi + m)
-		if !ok {
-			v = p.addVal(yi, m)
-		}
-		y[i] = n64(v)
-	}
-}
+// AxpyKernel is MulAddKernel with dst = y: the sum m + y[i] rounds the
+// same as y[i] + m.
+func (p *widePosit) AxpyKernel(alpha Num, x, y []Num) { p.MulAddKernel(alpha, x, y, y) }
 
 func (p *widePosit) ScaleKernel(alpha Num, x []Num) {
-	t := p.t
+	drops := &p.t.dropByE
 	a := f64(alpha)
 	for i := range x {
 		xi := f64(x[i])
-		v, ok := t.roundHot(a * xi)
-		if !ok {
-			v = p.mulVal(a, xi)
+		m := a * xi
+		ab := math.Float64bits(m)
+		sb := ab & signBit64
+		ab ^= sb
+		drop := uint(drops[ab>>52]) & 63
+		mask := uint64(1)<<drop - 1
+		switch {
+		case drop != 0 && ab&mask != mask>>1+1:
+			x[i] = Num(roundBits(ab, mask, 0) | sb)
+		case ab == 0:
+			x[i] = 0
+		default:
+			x[i] = n64(p.mulVal(a, xi))
 		}
-		x[i] = n64(v)
 	}
 }
 
 func (p *widePosit) MulAddKernel(alpha Num, x, y, dst []Num) {
-	t := p.t
+	drops := &p.t.dropByE
 	a := f64(alpha)
+	y = y[:len(x)]
+	dst = dst[:len(x)]
 	for i := range x {
 		xi := f64(x[i])
-		m, ok := t.roundHot(a * xi)
-		if !ok {
+		m := a * xi
+		ab := math.Float64bits(m)
+		sb := ab & signBit64
+		ab ^= sb
+		drop := uint(drops[ab>>52]) & 63
+		mask := uint64(1)<<drop - 1
+		switch {
+		case drop != 0 && ab&mask != mask>>1+1:
+			m = math.Float64frombits(roundBits(ab, mask, 0) | sb)
+		case ab == 0:
+			m = 0
+		default:
 			m = p.mulVal(a, xi)
 		}
 		yi := f64(y[i])
-		v, ok := t.roundHot(m + yi)
-		if !ok {
-			v = p.addVal(m, yi)
+		r := m + yi
+		ab = math.Float64bits(r)
+		sb = ab & signBit64
+		ab ^= sb
+		drop = uint(drops[ab>>52]) & 63
+		mask = uint64(1)<<drop - 1
+		switch {
+		case drop != 0 && ab&mask != mask>>1+1:
+			dst[i] = Num(roundBits(ab, mask, 0) | sb)
+		case ab == 0:
+			dst[i] = 0
+		default:
+			dst[i] = n64(p.addVal(m, yi))
 		}
-		dst[i] = n64(v)
 	}
 }
 
 func (p *widePosit) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
-	t := p.t
+	drops := &p.t.dropByE
 	for i := 0; i+1 < len(rowPtr); i++ {
 		s := 0.0
 		for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
 			vi, xi := f64(val[idx]), f64(x[col[idx]])
-			m, ok := t.roundHot(vi * xi)
-			if !ok {
+			m := vi * xi
+			ab := math.Float64bits(m)
+			sb := ab & signBit64
+			ab ^= sb
+			drop := uint(drops[ab>>52]) & 63
+			mask := uint64(1)<<drop - 1
+			switch {
+			case drop != 0 && ab&mask != mask>>1+1:
+				m = math.Float64frombits(roundBits(ab, mask, 0) | sb)
+			case ab == 0:
+				m = 0
+			default:
 				m = p.mulVal(vi, xi)
 			}
-			v, ok := t.roundHot(s + m)
-			if !ok {
-				v = p.addVal(s, m)
+			r := s + m
+			ab = math.Float64bits(r)
+			sb = ab & signBit64
+			ab ^= sb
+			drop = uint(drops[ab>>52]) & 63
+			mask = uint64(1)<<drop - 1
+			switch {
+			case drop != 0 && ab&mask != mask>>1+1:
+				s = math.Float64frombits(roundBits(ab, mask, 0) | sb)
+			case ab == 0:
+				s = 0
+			default:
+				s = p.addVal(s, m)
 			}
-			s = v
 		}
 		y[i] = n64(s)
 	}
@@ -236,8 +296,23 @@ func (p *widePosit) TrailingUpdateKernel(nalpha Num, x, w []Num) {
 }
 
 func (p *widePosit) DivKernel(alpha Num, x []Num) {
+	drops := &p.t.dropByE
+	a := f64(alpha)
 	for i := range x {
-		x[i] = p.Div(x[i], alpha)
+		r := f64(x[i]) / a
+		ab := math.Float64bits(r)
+		sb := ab & signBit64
+		ab ^= sb
+		drop := uint(drops[ab>>52]) & 63
+		mask := uint64(1)<<drop - 1
+		switch {
+		case drop != 0 && ab&mask != mask>>1+1:
+			x[i] = Num(roundBits(ab, mask, 0) | sb)
+		case ab == 0:
+			x[i] = 0 // x[i] is zero: posit quotients never underflow float64
+		default:
+			x[i] = p.Div(x[i], alpha)
+		}
 	}
 }
 

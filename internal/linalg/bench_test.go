@@ -86,6 +86,40 @@ func BenchmarkCholesky200Posit32e2(b *testing.B) { benchCholesky200(b, arith.Pos
 func BenchmarkCholesky200Posit16e2(b *testing.B) { benchCholesky200(b, arith.Posit16e2) }
 func BenchmarkCholesky200Posit16e1(b *testing.B) { benchCholesky200(b, arith.Posit16e1) }
 
+// denseDominant is a dense, diagonally dominant SPD matrix (diagonal
+// 256, off-diagonal 1/(1+(i+j) mod 7)). The Laplacian above leaves
+// 19701 of its 19900 trailing-update multipliers zero, so its factor
+// mostly times the zero-row scan; this one has no zero multiplier, so
+// every trailing-update element is a rounded multiply-add.
+func denseDominant(n int) *linalg.Dense {
+	a := linalg.NewDense(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			v := 256.0
+			if i != j {
+				v = 1 / float64(1+(i+j)%7)
+			}
+			a.Set(i, j, v)
+		}
+	}
+	return a
+}
+
+func benchCholesky200Dense(b *testing.B, f arith.Format) {
+	a := denseDominant(200).ToFormat(f, false)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := solvers.Cholesky(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCholesky200DenseFloat32(b *testing.B)   { benchCholesky200Dense(b, arith.Float32) }
+func BenchmarkCholesky200DensePosit32e2(b *testing.B) { benchCholesky200Dense(b, arith.Posit32e2) }
+func BenchmarkCholesky200DensePosit32e3(b *testing.B) { benchCholesky200Dense(b, arith.Posit32e3) }
+func BenchmarkCholesky200DensePosit16e1(b *testing.B) { benchCholesky200Dense(b, arith.Posit16e1) }
+
 func BenchmarkLanczos(b *testing.B) {
 	a := laplacian1D(500)
 	b.ResetTimer()

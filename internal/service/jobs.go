@@ -337,10 +337,13 @@ func (e *jobExecutor) runSolveJob(ctx context.Context, job jobs.Job, sink jobs.S
 		if err := json.Unmarshal(job.Checkpoint, &wire); err != nil {
 			return nil, jobs.Permanent(fmt.Errorf("decode checkpoint: %w", err))
 		}
-		switch wire.Solver {
-		case "cg":
+		switch {
+		case wire.Version != solveCkptVersion:
+			// Another encoding would resume from misread state; the
+			// job runs from iteration 0 instead.
+		case wire.Solver == "cg":
 			ck.cg.Resume = wire.cgCheckpoint()
-		case "ir":
+		case wire.Solver == "ir":
 			ck.ir.Resume = wire.irCheckpoint()
 		default:
 			return nil, jobs.Permanent(fmt.Errorf("checkpoint for unknown solver %q", wire.Solver))
@@ -446,17 +449,26 @@ func (v *u64vec) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// solveCkptVersion names the encoding of solveCkptWire's format Nums:
+// in version 1 every fast format's Num is its value as float64 bits. A
+// checkpoint without a version predates it and may hold posit8 Nums as
+// patterns, so it is never resumed from. Bump the version whenever a
+// format's Num encoding changes.
+const solveCkptVersion = 1
+
 // solveCkptWire is the journaled form of a solver checkpoint. CG uses
-// X/R/P/RR (format bit patterns); IR uses only X (float64 bits). Hist
-// is the reporting history as float64 bits in both cases.
+// X/R/P/RR (format Nums, encoded as Version says); IR uses only X
+// (float64 bits). Hist is the reporting history as float64 bits in both
+// cases.
 type solveCkptWire struct {
-	Solver string `json:"solver"`
-	Iter   int    `json:"iter"`
-	X      u64vec `json:"x"`
-	R      u64vec `json:"r,omitempty"`
-	P      u64vec `json:"p,omitempty"`
-	RR     uint64 `json:"rr,omitempty"`
-	Hist   u64vec `json:"hist,omitempty"`
+	Version int    `json:"v,omitempty"`
+	Solver  string `json:"solver"`
+	Iter    int    `json:"iter"`
+	X       u64vec `json:"x"`
+	R       u64vec `json:"r,omitempty"`
+	P       u64vec `json:"p,omitempty"`
+	RR      uint64 `json:"rr,omitempty"`
+	Hist    u64vec `json:"hist,omitempty"`
 }
 
 func numsToU64(v []arith.Num) u64vec {
@@ -493,22 +505,24 @@ func u64ToFloats(v u64vec) []float64 {
 
 func cgWire(c *solvers.CGCheckpoint) solveCkptWire {
 	return solveCkptWire{
-		Solver: "cg",
-		Iter:   c.Iter,
-		X:      numsToU64(c.X),
-		R:      numsToU64(c.R),
-		P:      numsToU64(c.P),
-		RR:     uint64(c.RR),
-		Hist:   floatsToU64(c.History),
+		Version: solveCkptVersion,
+		Solver:  "cg",
+		Iter:    c.Iter,
+		X:       numsToU64(c.X),
+		R:       numsToU64(c.R),
+		P:       numsToU64(c.P),
+		RR:      uint64(c.RR),
+		Hist:    floatsToU64(c.History),
 	}
 }
 
 func irWire(c *solvers.IRCheckpoint) solveCkptWire {
 	return solveCkptWire{
-		Solver: "ir",
-		Iter:   c.Iter,
-		X:      floatsToU64(c.X),
-		Hist:   floatsToU64(c.History),
+		Version: solveCkptVersion,
+		Solver:  "ir",
+		Iter:    c.Iter,
+		X:       floatsToU64(c.X),
+		Hist:    floatsToU64(c.History),
 	}
 }
 

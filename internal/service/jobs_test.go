@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,7 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"positlab/internal/arith"
 	"positlab/internal/jobs"
+	"positlab/internal/linalg"
+	"positlab/internal/mmarket"
+	"positlab/internal/posit"
+	"positlab/internal/solvers"
 )
 
 // laplacianMM renders the 1D Laplacian (2 on the diagonal, -1 off) as
@@ -315,6 +322,107 @@ func TestJobDrainResumeBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(scrubTiming(t, done.Result), scrubTiming(t, []byte(syncBody))) {
 		t.Fatal("resumed result diverges from uninterrupted run")
+	}
+}
+
+// plantRunner stands in for an older positd: it journals one fixed
+// checkpoint for the job it runs, then holds the job until a drain
+// requeues it with that checkpoint.
+type plantRunner struct {
+	data    []byte
+	iter    int
+	planted chan struct{}
+}
+
+func (p plantRunner) Run(ctx context.Context, _ jobs.Job, sink jobs.Sink) ([]byte, error) {
+	if err := sink.Checkpoint(p.iter, p.data); err != nil {
+		return nil, err
+	}
+	close(p.planted)
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestJobUnversionedCheckpointRestarts journals a posit8 CG job with a
+// checkpoint as a positd from before checkpoint versioning wrote it: no
+// version, and posit8 Nums as patterns (the integer pipeline's
+// encoding, which posit8 used before it moved to the lookup tables).
+// The job must run from iteration 0 rather than resume from misread
+// state, and finish with the /v1/solve answer.
+func TestJobUnversionedCheckpointRestarts(t *testing.T) {
+	spec := map[string]any{
+		"matrix_market": laplacianMM(40), "solver": "cg", "format": "posit8es2",
+		"tol": 1e-300, "max_iter": 120, "return_x": true,
+	}
+	a, _, err := mmarket.Read(strings.NewReader(spec["matrix_market"].(string)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones, b := make([]float64, a.N), make([]float64, a.N)
+	for i := range ones {
+		ones[i] = 1
+	}
+	a.MatVecF64(ones, b)
+	ref := arith.Posit(posit.Posit8e2)
+	var old *solvers.CGCheckpoint
+	if _, err := solvers.CGCheckpointed(context.Background(), a.ToFormat(ref, false), linalg.VecFromFloat64(ref, b), 1e-300, 120,
+		solvers.CGCheckpointOptions{Every: 10, OnCheckpoint: func(c *solvers.CGCheckpoint) error {
+			if old == nil {
+				old = c
+			}
+			return nil
+		}}); err != nil || old == nil {
+		t.Fatalf("reference CG: err=%v, checkpoint %v", err, old != nil)
+	}
+	wire := cgWire(old)
+	wire.Version = 0 // never written before versioning
+	data, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"v"`)) {
+		t.Fatalf("unversioned checkpoint carries a version: %s", data)
+	}
+
+	dir := t.TempDir()
+	store1, err := jobs.Open(dir, jobs.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := make(chan struct{})
+	pool := jobs.NewPool(store1, plantRunner{data: data, iter: old.Iter, planted: planted}, jobs.PoolConfig{Workers: 1})
+	pool.Start()
+	j, err := pool.Submit(jobKindSolve, []byte(mustJSON(t, spec)), jobs.SubmitOptions{CheckpointEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-planted
+	if !pool.Drain(10 * time.Second) {
+		t.Fatal("drain timed out")
+	}
+	if g, _ := store1.Get(j.ID); g.State != jobs.StateQueued || g.CheckpointIter != old.Iter {
+		t.Fatalf("planted job = state=%s ckpt=%d, want queued at %d", g.State, g.CheckpointIter, old.Iter)
+	}
+	if err := store1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := jobs.Open(dir, jobs.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Jobs: store2, JobWorkers: 1})
+	done := pollJob(t, ts.URL, j.ID, func(v jobView) bool { return v.State == "succeeded" || v.State == "failed" })
+	if done.State != "succeeded" {
+		t.Fatalf("job = %+v, want succeeded", done)
+	}
+	sync := post(t, ts.URL+"/v1/solve", mustJSON(t, spec))
+	syncBody := readBody(t, sync)
+	if sync.StatusCode != 200 {
+		t.Fatalf("sync solve: %d %s", sync.StatusCode, syncBody)
+	}
+	if !reflect.DeepEqual(scrubTiming(t, done.Result), scrubTiming(t, []byte(syncBody))) {
+		t.Fatalf("job result diverges from /v1/solve:\njob  %s\nsync %s", done.Result, syncBody)
 	}
 }
 
