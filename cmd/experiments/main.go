@@ -69,7 +69,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	svgDir := fs.String("svg", "", "also write each figure as SVG into this directory")
 	csvDir := fs.String("csv", "", "also write each experiment's rows as CSV into this directory")
 	jobs := fs.Int("jobs", 0, "concurrent experiment jobs (0 = GOMAXPROCS)")
-	par := fs.Int("par", 1, "in-solver workers for order-independent kernel loops (results are bit-identical for any value)")
+	par := fs.Int("par", 1, "in-solver workers for order-independent kernel loops (results are bit-identical for any value; shadow-sampled solves run serially)")
 	timeout := fs.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 	cacheDir := fs.String("cache", "", "on-disk result cache directory (empty = no cache)")
 	runsPath := fs.String("runs", "", "write a machine-readable runs.json report to this file")

@@ -35,12 +35,14 @@ func ExampleFromFloat64Clamped() {
 	// Output: 65504
 }
 
-func ExampleInstrument() {
-	f, counts := arith.Instrument(arith.Posit16e2)
+func ExampleObserve() {
+	var counts arith.AtomicOpCounts
+	f := arith.Observe(arith.Posit16e2, &counts)
 	s := f.Zero()
 	for i := 1; i <= 4; i++ {
 		s = f.Add(s, f.FromFloat64(float64(i)))
 	}
-	fmt.Println(f.ToFloat64(s), counts.Add, counts.Conv)
+	c := counts.Snapshot()
+	fmt.Println(f.ToFloat64(s), c.Add, c.Conv)
 	// Output: 10 4 4
 }

@@ -17,10 +17,10 @@ import "math"
 //
 // Every fast format implements BulkFormat on its own engine: the
 // lookup-table formats in exact.go, the wide posits and the native
-// float64/float32 below. Callers obtain kernels through BulkOf, which
-// falls back to a generic scalar implementation so every Format —
-// including instrumented wrappers and the slow integer-pipeline
-// references — works unchanged.
+// float64/float32 below, and the Observe wrapper forwards to them.
+// Callers obtain kernels through BulkOf, which falls back to a generic
+// scalar implementation so every Format — including the slow
+// integer-pipeline references — works unchanged.
 
 // BulkFormat is the optional slice-kernel interface of a Format.
 // Semantics, in terms of the format's scalar operations (all loops
@@ -43,8 +43,8 @@ import "math"
 // Sub(w, Mul(α, x)) in every supported format. With a ±0 scale the
 // defining sequence leaves every finite w[i] unchanged for finite x[i],
 // except IEEE's −0 + +0 = +0; the fast formats skip those elements
-// without rounding, and the instrumented wrappers still count every
-// element as one Mul and one Add.
+// without rounding, and an observed format still tells its observers
+// of every element as one MulAdd (see zeroScaleExact).
 type BulkFormat interface {
 	DotKernel(x, y []Num) Num
 	AxpyKernel(alpha Num, x, y []Num)
@@ -330,9 +330,6 @@ const expBits64 = uint64(0x7FF) << 52
 // Cholesky row whose multiplier is zero — most rows of a banded or
 // sparse matrix stored dense — then costs one read pass instead of
 // 2·len(x) roundings.
-//
-// The instrumented wrappers still count every element, and the shadow
-// wrapper records a zero-scale call's sampled operations in bulk.
 func trailingUpdate(nalpha Num, x, w []Num, mulAdd func(alpha Num, x, y, dst []Num)) {
 	if uint64(nalpha)&^signBit64 != 0 {
 		mulAdd(nalpha, x, w, w)
@@ -348,6 +345,25 @@ func trailingUpdate(nalpha Num, x, w []Num, mulAdd func(alpha Num, x, y, dst []N
 		}
 		mulAdd(nalpha, x[i:i+1], w[i:i+1], w[i:i+1])
 	}
+}
+
+// zeroScaleExact decides the operations a Window selects from a
+// zero-scale trailing update by their results w, without evaluating
+// them: each is fl(fl(±0·x[i]) + w[i]), whose exact value is the old
+// w[i]. With x[i] and w[i] finite the format returns exactly that
+// (−0 + +0 = +0 is the same value); otherwise the result is NaR/NaN or
+// ±Inf. So the result alone decides: it returns the number selected
+// and how many of them are bad. Cholesky's zero-multiplier rows, the
+// bulk of a banded factorization, then cost a Sampler no reference
+// arithmetic.
+func zeroScaleExact(f Format, w []Num, win Window) (k, bad uint64) {
+	for i := win.First; i < uint64(len(w)); i += win.Stride {
+		k++
+		if f.Bad(w[i]) {
+			bad++
+		}
+	}
+	return k, bad
 }
 
 // --- native kernels (hardware formats) ---

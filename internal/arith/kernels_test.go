@@ -274,13 +274,10 @@ func TestTrailingUpdateZeroScaleGrid(t *testing.T) {
 
 				want := arith.OpCounts{Mul: uint64(len(x)), Add: uint64(len(x))}
 				for _, a := range []arith.Num{nalpha, f.One()} {
-					fi, c := arith.Instrument(f)
-					arith.BulkOf(fi).TrailingUpdateKernel(a, x, cloneNums(w))
-					var ac arith.AtomicOpCounts
-					arith.BulkOf(arith.InstrumentAtomic(f, &ac)).TrailingUpdateKernel(a, x, cloneNums(w))
-					if *c != want || ac.Snapshot() != want {
-						t.Errorf("scale %g: counted %+v (atomic %+v), want %+v",
-							f.ToFloat64(a), *c, ac.Snapshot(), want)
+					var c arith.AtomicOpCounts
+					arith.BulkOf(arith.Observe(f, &c)).TrailingUpdateKernel(a, x, cloneNums(w))
+					if c.Snapshot() != want {
+						t.Errorf("scale %g: counted %+v, want %+v", f.ToFloat64(a), c.Snapshot(), want)
 					}
 				}
 			}
@@ -332,9 +329,9 @@ func TestMulAddMatchesComposition(t *testing.T) {
 	}
 }
 
-// TestInstrumentedKernelCounts asserts the batched per-kernel counter
-// updates equal the per-op tallies of the equivalent scalar loops, for
-// both wrapper flavors.
+// TestInstrumentedKernelCounts asserts the batched per-kernel counts
+// equal the per-op tallies of the equivalent scalar loops, under one
+// counting observer and under two sharing the wrapper.
 func TestInstrumentedKernelCounts(t *testing.T) {
 	n := 100
 	base := arith.Posit16e2
@@ -342,34 +339,33 @@ func TestInstrumentedKernelCounts(t *testing.T) {
 	y := kernelOperands(base, n, 2)
 	rowPtr, col, val := bandCSR(base, n)
 	nnz := uint64(len(val))
-
-	f, c := arith.Instrument(base)
-	bk := arith.BulkOf(f)
-	alpha := f.One()
-	bk.DotKernel(x, y)
-	bk.AxpyKernel(alpha, x, cloneNums(y))
-	bk.ScaleKernel(alpha, cloneNums(x))
-	bk.MulAddKernel(alpha, x, y, make([]arith.Num, n))
-	bk.TrailingUpdateKernel(alpha, x, cloneNums(y))
-	bk.MatVecKernel(rowPtr, col, val, x, make([]arith.Num, n))
-
-	got := *c
 	want := arith.OpCounts{
-		Mul: uint64(5*n) + nnz,
-		Add: uint64(4*n) + nnz,
-	}
-	if got != want {
-		t.Errorf("instrumented kernel counts = %+v, want %+v", got, want)
+		Mul: uint64(6*n) + nnz,
+		Add: uint64(5*n) + nnz,
+		Div: uint64(n),
 	}
 
-	var ac arith.AtomicOpCounts
-	fa := arith.InstrumentAtomic(base, &ac)
-	bka := arith.BulkOf(fa)
-	bka.DotKernel(x, y)
-	bka.MatVecKernel(rowPtr, col, val, x, make([]arith.Num, n))
-	snap := ac.Snapshot()
-	wantA := arith.OpCounts{Mul: uint64(n) + nnz, Add: uint64(n) + nnz}
-	if snap != wantA {
-		t.Errorf("atomic kernel counts = %+v, want %+v", snap, wantA)
+	for _, k := range []int{1, 2} {
+		cs := make([]*arith.AtomicOpCounts, k)
+		obs := make([]arith.Observer, k)
+		for i := range cs {
+			cs[i] = new(arith.AtomicOpCounts)
+			obs[i] = cs[i]
+		}
+		bk := arith.BulkOf(arith.Observe(base, obs...))
+		alpha := base.One()
+		bk.DotKernel(x, y)
+		bk.AxpyKernel(alpha, x, cloneNums(y))
+		bk.ScaleKernel(alpha, cloneNums(x))
+		bk.MulAddKernel(alpha, x, y, make([]arith.Num, n))
+		bk.TrailingUpdateKernel(alpha, x, cloneNums(y))
+		bk.TrailingUpdateKernel(base.Zero(), x, cloneNums(y))
+		bk.MatVecKernel(rowPtr, col, val, x, make([]arith.Num, n))
+		bk.DivKernel(alpha, cloneNums(x))
+		for i, c := range cs {
+			if got := c.Snapshot(); got != want {
+				t.Errorf("%d observers, counter %d: kernel counts = %+v, want %+v", k, i, got, want)
+			}
+		}
 	}
 }

@@ -259,24 +259,18 @@ func TestDivKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestDivKernelInstrumented checks the batched Div counter of both
-// instrumentation wrappers.
+// TestDivKernelInstrumented checks the batched Div count of an
+// observed DivKernel call.
 func TestDivKernelInstrumented(t *testing.T) {
 	n := 64
 	base := arith.Posit16e2
 	x := kernelOperands(base, n, 7)
 
-	f, c := arith.Instrument(base)
-	arith.BulkOf(f).DivKernel(f.FromFloat64(2), cloneNums(x))
-	if c.Div != uint64(n) {
-		t.Errorf("instrumented DivKernel count = %d, want %d", c.Div, n)
-	}
-
-	var ac arith.AtomicOpCounts
-	fa := arith.InstrumentAtomic(base, &ac)
-	arith.BulkOf(fa).DivKernel(fa.FromFloat64(2), cloneNums(x))
-	if got := ac.Snapshot().Div; got != uint64(n) {
-		t.Errorf("atomic DivKernel count = %d, want %d", got, n)
+	var c arith.AtomicOpCounts
+	f := arith.Observe(base, &c)
+	arith.BulkOf(f).DivKernel(base.FromFloat64(2), cloneNums(x))
+	if got := c.Snapshot(); got != (arith.OpCounts{Div: uint64(n)}) {
+		t.Errorf("observed DivKernel counts = %+v, want %d divisions", got, n)
 	}
 }
 

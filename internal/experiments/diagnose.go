@@ -69,10 +69,7 @@ func DiagnoseIR(opt Options) ([]DiagRow, error) {
 			if opt.canceled() {
 				return nil, opt.ctx().Err()
 			}
-			// Deliberately not opt.format(f): operation instrumentation
-			// must compose outside the shadow wrapper (its replay of
-			// sampled reduction chains would inflate an inner count), and
-			// the diagnosis report already carries its own op totals.
+			// The diagnosis report carries its own op totals.
 			rep, err := shadow.Diagnose(opt.ctx(), m.A, m.B, m.Target.Name, shadow.Options{
 				Solver:  "ir",
 				Format:  f,

@@ -47,10 +47,10 @@ type Options struct {
 	// encoding — and therefore of runner cache keys — because the
 	// stride changes the reported telemetry.
 	ShadowSample int `json:"shadow_sample,omitempty"`
-	// Ops, when non-nil, receives a count of every format operation
-	// the experiment performs (see arith.InstrumentAtomic). Excluded
-	// from JSON — and therefore from runner cache keys — because
-	// instrumentation never changes results.
+	// Ops, when non-nil, observes every format operation the
+	// experiment performs (see arith.Observe). Excluded from JSON — and
+	// therefore from runner cache keys — because observing never
+	// changes results.
 	Ops *arith.AtomicOpCounts `json:"-"`
 	// Ctx, when non-nil, is the run's cancellation context: experiment
 	// loops check it between solver calls and the solver loops check
@@ -78,14 +78,14 @@ func (o Options) canceled() bool { return o.ctx().Err() != nil }
 // spellings of the same configuration hash to the same cache key.
 func (o Options) Canonical() Options { return o.fill() }
 
-// format returns f wrapped to count operations into o.Ops, or f
-// itself when instrumentation is off. The wrapper is transparent:
-// results are bit-identical either way.
+// format returns f observed by o.Ops, or f itself when counting is
+// off. The wrapper is transparent: results are bit-identical either
+// way.
 func (o Options) format(f arith.Format) arith.Format {
 	if o.Ops == nil {
 		return f
 	}
-	return arith.InstrumentAtomic(f, o.Ops)
+	return arith.Observe(f, o.Ops)
 }
 
 func (o Options) fill() Options {

@@ -3,6 +3,8 @@ package linalg
 import (
 	"sync"
 	"sync/atomic"
+
+	"positlab/internal/arith"
 )
 
 // Deterministic in-solver parallelism.
@@ -71,23 +73,30 @@ func ensurePool() {
 	})
 }
 
-// ParRows shards body over [0, n) row indices exactly like the
-// package's own kernels do — callers (the solvers' trailing updates)
-// must guarantee the rows are order-independent: each index's work is
-// its own sequential chain of rounded operations and writes only state
-// owned by that index. work is the total element count behind the n
-// rows, used to decide whether sharding pays at all.
-func ParRows(n, work int, body func(lo, hi int)) { parRange(n, work, body) }
+// ParRows shards body, which computes in format f, over [0, n) row
+// indices exactly like the package's own kernels do — callers (the
+// solvers' trailing updates) must guarantee the rows are
+// order-independent: each index's work is its own sequential chain of
+// rounded operations and writes only state owned by that index. work
+// is the total element count behind the n rows, used to decide whether
+// sharding pays at all.
+func ParRows(f arith.Format, n, work int, body func(lo, hi int)) { parRange(f, n, work, body) }
 
-// parRange runs body over [0, n) split into contiguous shards across
-// the worker pool, and returns once every shard completes. work is the
-// total element count behind the n indices (nnz for a matvec over n
-// rows), used to decide how many shards the job can amortize. Shards
-// are disjoint, so body must only write state owned by its own index
-// range. Falls back to one serial call when the worker count is 1 or
-// the work is too small to pay for the handoff.
-func parRange(n, work int, body func(lo, hi int)) {
+// parRange runs body, which computes in format f, over [0, n) split
+// into contiguous shards across the worker pool, and returns once every
+// shard completes. work is the total element count behind the n
+// indices (nnz for a matvec over n rows), used to decide how many
+// shards the job can amortize. Shards are disjoint, so body must only
+// write state owned by its own index range. Falls back to one serial
+// call when the worker count is 1, when the work is too small to pay
+// for the handoff, or when f's observers sample (arith.Samples): the
+// bits never depend on sharding, but which operations a sampler picks
+// follows the order they reach it.
+func parRange(f arith.Format, n, work int, body func(lo, hi int)) {
 	w := Workers()
+	if arith.Samples(f) {
+		w = 1
+	}
 	if w > work/minParWork {
 		w = work / minParWork
 	}

@@ -40,7 +40,7 @@ func TestParRowsCoverage(t *testing.T) {
 		for _, n := range []int{0, 1, 7, 100, 10000} {
 			for _, perRow := range []int{1, 3, 5000} {
 				var mu chan span = make(chan span, 64)
-				linalg.ParRows(n, n*perRow, func(lo, hi int) { mu <- span{lo, hi} })
+				linalg.ParRows(arith.Float64, n, n*perRow, func(lo, hi int) { mu <- span{lo, hi} })
 				close(mu)
 				var spans []span
 				for s := range mu {

@@ -257,7 +257,7 @@ func (m *SparseNum) MatVec(x, y []arith.Num) {
 	checkLen(len(x), m.N)
 	checkLen(len(y), m.N)
 	bk := arith.BulkOf(m.F)
-	parRange(m.N, m.NNZ(), func(lo, hi int) {
+	parRange(m.F, m.N, m.NNZ(), func(lo, hi int) {
 		bk.MatVecKernel(m.RowPtr[lo:hi+1], m.Col, m.Val, x, y[lo:hi])
 	})
 }

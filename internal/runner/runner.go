@@ -54,8 +54,8 @@ type Env struct {
 	// that were part of the same run, keyed by experiment ID.
 	Deps map[string]*Result
 	// Ops, when non-nil, is the job's operation counter; experiments
-	// thread it through arith.InstrumentAtomic so runs.json can report
-	// per-job arithmetic work. Nil when instrumentation is off.
+	// attach it to their formats with arith.Observe so runs.json can
+	// report per-job arithmetic work. Nil when instrumentation is off.
 	Ops *arith.AtomicOpCounts
 }
 

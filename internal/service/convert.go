@@ -100,11 +100,11 @@ func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 	writeCached(w, body, cached)
 }
 
-// convert performs the batch. Conversions are instrumented into the
+// convert performs the batch. Conversions are counted into the
 // server-wide op counters.
 func (s *Server) convert(from, to arith.Format, values []float64) convertResponse {
-	fi := arith.InstrumentAtomic(from, s.metrics.Ops)
-	ti := arith.InstrumentAtomic(to, s.metrics.Ops)
+	fi := arith.Observe(from, s.metrics.Ops)
+	ti := arith.Observe(to, s.metrics.Ops)
 	resp := convertResponse{
 		From:    from.Name(),
 		To:      to.Name(),

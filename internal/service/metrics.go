@@ -18,13 +18,15 @@ const latWindow = 512
 
 // Metrics aggregates serving-side observability: an in-flight gauge,
 // per-route request counts, status tallies and latency quantiles over
-// a sliding window, plus the shared kernel operation counters (every
-// solver request routes its arithmetic through arith.InstrumentAtomic
-// against Ops). Snapshot renders it all; the server additionally
+// a sliding window, plus the shared operation counters Ops, which
+// observe the format of every /v1/solve request and /v1/jobs solve
+// and the conversions of /v1/convert. /v1/diagnose runs are not
+// counted there: their reports carry their own op totals, and Shadow
+// gathers them. Snapshot renders it all; the server additionally
 // publishes the snapshot through expvar.
 type Metrics struct {
-	// Ops counts every format operation performed on behalf of
-	// requests (atomic; written from handler goroutines directly).
+	// Ops counts the format operations of the requests above
+	// (atomic; written from handler goroutines directly).
 	Ops *arith.AtomicOpCounts
 	// Shadow aggregates the per-op error gauges of completed
 	// /v1/diagnose runs (atomic, like Ops).

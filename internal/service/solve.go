@@ -149,11 +149,10 @@ func (s *Server) runSolve(ctx context.Context, req *solveRequest, ck solveCheckp
 		return resp, &solveError{http.StatusBadRequest, err.Error()}
 	}
 
+	// Two counters see the same tally: the server-wide one and this
+	// request's report. Results stay bit-identical.
 	reqOps := &arith.AtomicOpCounts{}
-	// Nested instrumentation: the inner wrapper feeds the server-wide
-	// kernel counters, the outer one this request's report. Both see
-	// the same tally; results stay bit-identical.
-	fi := arith.InstrumentAtomic(arith.InstrumentAtomic(f, s.metrics.Ops), reqOps)
+	fi := arith.Observe(f, s.metrics.Ops, reqOps)
 
 	resp = solveResponse{Solver: req.Solver, Format: f.Name(), Matrix: name, N: a.N}
 	start := time.Now()

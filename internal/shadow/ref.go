@@ -36,7 +36,7 @@ type refEngine interface {
 	// operand values and the relative error of got against it; ok is
 	// false when the reference is undefined (division by zero, square
 	// root of a negative), which callers count as a bad operation.
-	measure(op Op, a, b, c, got float64) (ref, rel float64, ok bool)
+	measure(op arith.Op, a, b, c, got float64) (ref, rel float64, ok bool)
 }
 
 // engineFor selects the reference engine by format width.
@@ -71,26 +71,26 @@ type f64Engine struct{}
 
 func (f64Engine) name() string { return "float64" }
 
-func (f64Engine) measure(op Op, a, b, c, got float64) (float64, float64, bool) {
+func (f64Engine) measure(op arith.Op, a, b, c, got float64) (float64, float64, bool) {
 	var ref float64
 	switch op {
-	case OpAdd:
+	case arith.OpAdd:
 		ref = a + b
-	case OpSub:
+	case arith.OpSub:
 		ref = a - b
-	case OpMul:
+	case arith.OpMul:
 		ref = a * b
-	case OpDiv:
+	case arith.OpDiv:
 		if b == 0 {
 			return 0, 0, false
 		}
 		ref = a / b
-	case OpSqrt:
+	case arith.OpSqrt:
 		if a < 0 {
 			return 0, 0, false
 		}
 		ref = math.Sqrt(a)
-	case OpMulAdd:
+	case arith.OpMulAdd:
 		ref = math.FMA(a, b, c)
 	default:
 		return 0, 0, false
@@ -127,26 +127,26 @@ func bf(x float64) *big.Float {
 	return new(big.Float).SetPrec(bigPrec).SetFloat64(x)
 }
 
-func (bigEngine) measure(op Op, a, b, c, got float64) (float64, float64, bool) {
+func (bigEngine) measure(op arith.Op, a, b, c, got float64) (float64, float64, bool) {
 	z := new(big.Float).SetPrec(bigPrec)
 	switch op {
-	case OpAdd:
+	case arith.OpAdd:
 		z.Add(bf(a), bf(b))
-	case OpSub:
+	case arith.OpSub:
 		z.Sub(bf(a), bf(b))
-	case OpMul:
+	case arith.OpMul:
 		z.Mul(bf(a), bf(b))
-	case OpDiv:
+	case arith.OpDiv:
 		if b == 0 {
 			return 0, 0, false
 		}
 		z.Quo(bf(a), bf(b))
-	case OpSqrt:
+	case arith.OpSqrt:
 		if a < 0 {
 			return 0, 0, false
 		}
 		z.Sqrt(bf(a))
-	case OpMulAdd:
+	case arith.OpMulAdd:
 		z.Mul(bf(a), bf(b))
 		z.Add(z, bf(c))
 	default:

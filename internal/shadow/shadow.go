@@ -1,19 +1,20 @@
 // Package shadow implements shadow-precision execution: it pairs any
 // arith.Format with a high-precision reference engine and records
-// per-operation rounding-error telemetry while the wrapped format
-// computes exactly what it would have computed unwrapped.
+// per-operation rounding-error telemetry while the format computes
+// exactly what it would have computed unobserved.
 //
-// Every operation dispatched through the wrapper returns the
-// underlying format's result bit-for-bit — wrapping never perturbs a
-// solver trajectory — but a configurable fraction of operations is
-// *measured*: the same operands are re-evaluated in the reference
-// precision (float64 for formats of 16 bits or fewer, whose products
-// and sums are exact in binary64; 256-bit big.Float above that) and
-// the format result's relative error and ulp error are accumulated
-// into log2-bucketed histograms keyed by operation kind and call-site
-// label. A bounded top-K heap retains the worst individual operations
-// with their operand values, so a diagnosis can point at the exact
-// multiply or subtract where digits were lost.
+// The Recorder is a sampling arith.Observer (Wrap attaches one with
+// arith.Observe). Every operation returns the underlying format's
+// result bit-for-bit — observing never perturbs a solver trajectory —
+// but a configurable fraction of operations is *measured*: the same
+// operands are re-evaluated in the reference precision (float64 for
+// formats of 16 bits or fewer, whose products and sums are exact in
+// binary64; 256-bit big.Float above that) and the format result's
+// relative error and ulp error are accumulated into log2-bucketed
+// histograms keyed by operation kind and call-site label. A bounded
+// top-K heap retains the worst individual operations with their
+// operand values, so a diagnosis can point at the exact multiply or
+// subtract where digits were lost.
 //
 // Memory is bounded by construction: histograms are fixed-size arrays,
 // the per-label cell map is capped (overflow collapses into an "other"
@@ -33,30 +34,9 @@ import (
 	"positlab/internal/arith"
 )
 
-// Op identifies a format operation kind in the telemetry.
-type Op uint8
-
-// Operation kinds. OpMulAdd is the fused dispatch fl(fl(a·b)+c); its
-// reference is the exact a·b+c, so its error can legitimately exceed
-// half an ulp (two roundings against one).
-const (
-	OpAdd Op = iota
-	OpSub
-	OpMul
-	OpDiv
-	OpSqrt
-	OpMulAdd
-	opCount
-)
-
-var opNames = [opCount]string{"add", "sub", "mul", "div", "sqrt", "muladd"}
-
-func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
-	}
-	return fmt.Sprintf("op(%d)", int(o))
-}
+// measuredOps is the number of operation kinds a Recorder measures:
+// arith.OpAdd through arith.OpMulAdd (FromFloat64 is never sampled).
+const measuredOps = int(arith.OpMulAdd) + 1
 
 // Config tunes a Recorder. The zero value gets defaults from fill.
 type Config struct {
@@ -107,7 +87,7 @@ const (
 type cellKey struct {
 	label string
 	site  string
-	op    Op
+	op    arith.Op
 }
 
 // cell accumulates measurements for one (label, site, op) key.
@@ -139,27 +119,39 @@ type OpSample struct {
 	rel   float64 // ranking key (Rel, kept unboxed)
 }
 
-// Recorder accumulates shadow telemetry for one wrapped format. It is
-// safe for concurrent use: the sampling decision is an atomic counter
-// and measured samples are folded in under a mutex (sampled paths
-// only, so contention scales with the sampling rate, not the op rate).
+// Recorder accumulates shadow telemetry for one format: it is the
+// sampling arith.Observer that shadow measurement attaches to a format
+// (see Wrap). It is safe for concurrent use: the sampling decision is
+// an atomic counter and measured samples are folded in under a mutex
+// (sampled operations only, so contention scales with the sampling
+// rate, not the op rate). Which operations it samples follows the
+// order they reach it, which is why sharded solver loops run serially
+// on a format it observes (arith.Samples).
 type Recorder struct {
 	cfg    Config
 	f      arith.Format
 	eng    refEngine
 	ulp    func(v float64) float64
 	stride uint64
-	tick   atomic.Uint64 // global operation index
-	total  atomic.Uint64 // operations seen (sampled or not)
+	tick   atomic.Uint64 // operations seen: the next one's global index
 
 	mu       sync.Mutex
 	label    string
 	cells    map[cellKey]*cell
 	measured uint64
 	worst    []OpSample // sorted descending by rel
+	last     cellKey    // the key cellFor resolved last, and its cell
+	lastCell *cell
+	// The delivery Begin opened: its cell, site and kind (held under
+	// mu until End).
+	cur     *cell
+	curSite string
+	curOp   arith.Op
 }
 
-func newRecorder(f arith.Format, cfg Config) *Recorder {
+// NewRecorder returns a Recorder measuring operations of f against
+// its reference engine. Attach it with arith.Observe, or use Wrap.
+func NewRecorder(f arith.Format, cfg Config) *Recorder {
 	cfg = cfg.fill()
 	return &Recorder{
 		cfg:    cfg,
@@ -172,6 +164,14 @@ func newRecorder(f arith.Format, cfg Config) *Recorder {
 	}
 }
 
+// Wrap pairs f with a reference engine and returns f observed by a new
+// Recorder, together with that Recorder. The wrapped format is
+// bit-transparent: every operation returns exactly f's result.
+func Wrap(f arith.Format, cfg Config) (arith.Format, *Recorder) {
+	rec := NewRecorder(f, cfg)
+	return arith.Observe(f, rec), rec
+}
+
 // SetLabel names the current execution phase; subsequent measurements
 // are keyed under it. Call it at phase boundaries (e.g. "factor",
 // "refine"), not per operation.
@@ -181,53 +181,44 @@ func (r *Recorder) SetLabel(label string) {
 	r.mu.Unlock()
 }
 
-// window advances the global operation index by n and reports the
-// pre-advance index plus whether any index in [start, start+n) is a
-// sampling point ((idx+1) % stride == 0).
-func (r *Recorder) window(n uint64) (start uint64, any bool) {
-	if n == 0 {
-		return 0, false
+// Observe implements arith.Observer. It advances the global operation
+// index by n and selects the indices idx in [start, start+n) that are
+// sampling points ((idx+1) % stride == 0). FromFloat64 conversions are
+// not operations here: they neither advance the index nor count.
+func (r *Recorder) Observe(_ string, op arith.Op, n uint64) arith.Window {
+	if op == arith.OpFromFloat64 {
+		return arith.Window{}
 	}
-	r.total.Add(n)
-	start = r.tick.Add(n) - n
-	if r.stride <= 1 {
-		return start, true
-	}
+	start := r.tick.Add(n) - n
 	// First sampling point at or after start is the next multiple of
 	// stride minus 1 (0-based indices i with (i+1)%stride == 0).
-	first := (start/r.stride+1)*r.stride - 1
-	return start, first < start+n
+	first := (start/r.stride+1)*r.stride - 1 - start
+	if first >= n {
+		return arith.Window{}
+	}
+	return arith.Window{First: first, Stride: r.stride}
 }
 
-// sampledAt reports whether global op index idx is a sampling point.
-func (r *Recorder) sampledAt(idx uint64) bool {
-	return r.stride <= 1 || (idx+1)%r.stride == 0
-}
-
-// firstSample returns the offset within a window starting at global
-// index start of the first sampled operation (which may be past the
-// window's end — callers bound the iteration).
-func (r *Recorder) firstSample(start uint64) uint64 {
-	if r.stride <= 1 {
-		return 0
+// cellFor returns the histogram cell of (current label, site, op),
+// respecting the label cap. A key keeps its cell once resolved, so the
+// last resolution is cached: consecutive sampled calls at one site
+// skip the map. Caller holds mu.
+func (r *Recorder) cellFor(site string, op arith.Op) *cell {
+	key := cellKey{label: r.label, site: site, op: op}
+	if r.lastCell != nil && key == r.last {
+		return r.lastCell
 	}
-	return (start/r.stride+1)*r.stride - 1 - start
-}
-
-// cellFor returns the histogram cell for key, respecting the label
-// cap. Caller holds mu.
-func (r *Recorder) cellFor(key cellKey) *cell {
-	if c := r.cells[key]; c != nil {
-		return c
+	k := key
+	c := r.cells[k]
+	if c == nil && len(r.cells) >= r.cfg.MaxLabels*measuredOps {
+		k.label = "other"
+		c = r.cells[k]
 	}
-	if len(r.cells) >= r.cfg.MaxLabels*int(opCount) {
-		key.label = "other"
-		if c := r.cells[key]; c != nil {
-			return c
-		}
+	if c == nil {
+		c = &cell{}
+		r.cells[k] = c
 	}
-	c := &cell{}
-	r.cells[key] = c
+	r.last, r.lastCell = key, c
 	return c
 }
 
@@ -235,7 +226,7 @@ func (r *Recorder) cellFor(key cellKey) *cell {
 // images and measures the result against the reference engine. The
 // values measured are exactly the values the format computed with; the
 // error arithmetic itself lives in the float64-only engine helpers.
-func (r *Recorder) measureNums(op Op, a, b, c, got arith.Num) measurement {
+func (r *Recorder) measureNums(op arith.Op, a, b, c, got arith.Num) measurement {
 	f := r.f
 	av := f.ToFloat64(a)
 	bv := f.ToFloat64(b)
@@ -263,42 +254,41 @@ func (r *Recorder) measureNums(op Op, a, b, c, got arith.Num) measurement {
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // finiteOps checks the operands op actually reads.
-func finiteOps(op Op, a, b, c float64) bool {
+func finiteOps(op arith.Op, a, b, c float64) bool {
 	switch op {
-	case OpSqrt:
+	case arith.OpSqrt:
 		return finite(a)
-	case OpMulAdd:
+	case arith.OpMulAdd:
 		return finite(a) && finite(b) && finite(c)
 	default:
 		return finite(a) && finite(b)
 	}
 }
 
-// noteScalar measures one directly dispatched scalar operation if its
-// global index is a sampling point. Unused operands are Num(0), a
-// valid zero in every supported format.
-func (r *Recorder) noteScalar(op Op, a, b, c, got arith.Num) {
-	if _, any := r.window(1); !any {
-		return
-	}
-	m := r.measureNums(op, a, b, c, got)
+// Begin implements arith.Sampler. It holds the lock until End, so the
+// samples of one call fold under a single acquisition into one cell.
+func (r *Recorder) Begin(site string, op arith.Op) {
 	r.mu.Lock()
-	cl := r.cellFor(cellKey{label: r.label, site: "scalar", op: op})
-	r.foldLocked(cl, "scalar", op, m)
-	r.mu.Unlock()
+	r.cur, r.curSite, r.curOp = r.cellFor(site, op), site, op
 }
 
-// noteExact folds n measured operations of op at kernel site whose
-// results are known without the reference: bad of them consumed a
-// non-finite operand, and the rest equal their exact value. It records
-// what measureNums would for each — a count, plus exact or bad — so the
-// telemetry is identical to measuring them one by one.
-func (r *Recorder) noteExact(site string, op Op, n, bad uint64) {
-	if n == 0 {
-		return
-	}
+// Sample implements arith.Sampler: it measures one sampled operation
+// against the reference.
+func (r *Recorder) Sample(a, b, c, got arith.Num) {
+	r.foldLocked(r.cur, r.curSite, r.curOp, r.measureNums(r.curOp, a, b, c, got))
+}
+
+// End implements arith.Sampler.
+func (r *Recorder) End() { r.mu.Unlock() }
+
+// Exact implements arith.Sampler: it folds n sampled operations whose
+// results are known without the reference — bad of them non-finite,
+// the rest equal to their exact value. It records what measureNums
+// would for each (a count, plus exact or bad), so the telemetry is
+// identical to measuring them one by one.
+func (r *Recorder) Exact(site string, op arith.Op, n, bad uint64) {
 	r.mu.Lock()
-	c := r.cellFor(cellKey{label: r.label, site: site, op: op})
+	c := r.cellFor(site, op)
 	r.measured += n
 	c.count += n
 	c.bad += bad
@@ -306,35 +296,9 @@ func (r *Recorder) noteExact(site string, op Op, n, bad uint64) {
 	r.mu.Unlock()
 }
 
-// replay batches the measurements of one sampled kernel call under a
-// single lock acquisition with the hot cells cached.
-type replay struct {
-	rec   *Recorder
-	site  string
-	cells [opCount]*cell
-}
-
-func (r *Recorder) beginReplay(site string) replay {
-	r.mu.Lock()
-	return replay{rec: r, site: site}
-}
-
-func (p *replay) note(op Op, a, b, c, got arith.Num) {
-	r := p.rec
-	m := r.measureNums(op, a, b, c, got)
-	cl := p.cells[op]
-	if cl == nil {
-		cl = r.cellFor(cellKey{label: r.label, site: p.site, op: op})
-		p.cells[op] = cl
-	}
-	r.foldLocked(cl, p.site, op, m)
-}
-
-func (p *replay) end() { p.rec.mu.Unlock() }
-
 // foldLocked folds one measurement into its cell, the histograms, and
 // the worst list. Caller holds mu.
-func (r *Recorder) foldLocked(c *cell, site string, op Op, m measurement) {
+func (r *Recorder) foldLocked(c *cell, site string, op arith.Op, m measurement) {
 	r.measured++
 	c.count++
 	if m.bad {
@@ -358,7 +322,7 @@ func (r *Recorder) foldLocked(c *cell, site string, op Op, m measurement) {
 	r.noteWorst(site, op, m)
 }
 
-func (r *Recorder) noteWorst(site string, op Op, m measurement) {
+func (r *Recorder) noteWorst(site string, op arith.Op, m measurement) {
 	k := r.cfg.TopK
 	if len(r.worst) == k && r.worst[k-1].rel >= m.rel {
 		return
@@ -437,7 +401,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		Format:      r.f.Name(),
 		Reference:   r.eng.name(),
 		SampleEvery: int(r.stride),
-		TotalOps:    r.total.Load(),
+		TotalOps:    r.tick.Load(),
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

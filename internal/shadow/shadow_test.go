@@ -1,14 +1,17 @@
 package shadow_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"positlab/internal/arith"
 	"positlab/internal/linalg"
+	"positlab/internal/matgen"
 	"positlab/internal/shadow"
 	"positlab/internal/solvers"
 )
@@ -434,5 +437,149 @@ func TestGauges(t *testing.T) {
 	}
 	if float64(gs.MaxRel) <= 0 {
 		t.Errorf("max rel = %g, want > 0", float64(gs.MaxRel))
+	}
+}
+
+// TestDiagnoseWorkerCountInvariant: which operations the shadow
+// samples must not depend on how the solver loops are sharded, so a
+// diagnosis's telemetry is byte-identical at every in-solver worker
+// count, run after run. At two workers the Cholesky trailing update
+// shards on nos5 and the CG matvec on plat362.
+func TestDiagnoseWorkerCountInvariant(t *testing.T) {
+	prev := linalg.SetWorkers(1)
+	defer linalg.SetWorkers(prev)
+	for _, c := range []struct{ matrix, solver string }{{"nos5", "cholesky"}, {"plat362", "cg"}} {
+		tgt, err := matgen.TargetByName(c.matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := matgen.Generate(tgt)
+		var want []byte
+		for run, workers := range []int{1, 2, 2, 2} {
+			linalg.SetWorkers(workers)
+			rep, err := shadow.Diagnose(context.Background(), sys.A, sys.B, c.matrix, shadow.Options{
+				Solver: c.solver, Format: arith.Posit16e1, Rescale: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(rep.Telemetry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("%s %s run %d at %d workers: telemetry differs from 1 worker\ngot:  %s\nwant: %s",
+					c.matrix, c.solver, run, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestObserveComposition replaces the old nesting-order rule: a
+// Recorder and an op counter observe one format in either order, and
+// whole CG and Cholesky solves return exactly f's bits, the counter
+// alone's counts, and shadow.Wrap alone's telemetry. The Recorder's
+// replays of sampled operations run on the inner format, so the
+// counter never sees them.
+func TestObserveComposition(t *testing.T) {
+	a := laplacian1D(60)
+	rhs := onesRHS(a)
+	ad := a.ToDense()
+	cfg := shadow.Config{SampleEvery: 3}
+	for _, f := range []arith.Format{arith.Posit16e2, arith.Float16, arith.Posit32e2, arith.Float32} {
+		// solve runs CG and a Cholesky solve in g and returns every
+		// result bit.
+		solve := func(g arith.Format) []uint64 {
+			var bits []uint64
+			cg := solvers.CG(a.ToFormat(g, false), linalg.VecFromFloat64(g, rhs), 1e-5, 10*a.N)
+			for _, v := range cg.X {
+				bits = append(bits, math.Float64bits(v))
+			}
+			r, err := solvers.Cholesky(ad.ToFormat(g, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := solvers.SolveUpper(r, solvers.SolveLowerT(r, linalg.VecFromFloat64(g, rhs)))
+			for i := 0; i < r.N; i++ {
+				for _, v := range r.Row(i) {
+					bits = append(bits, uint64(v))
+				}
+			}
+			for _, v := range x {
+				bits = append(bits, uint64(v))
+			}
+			return bits
+		}
+		snapshot := func(rec *shadow.Recorder) string {
+			data, err := json.Marshal(rec.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(data)
+		}
+
+		want := solve(f)
+		var alone arith.AtomicOpCounts
+		solve(arith.Observe(f, &alone))
+		sf, rec := shadow.Wrap(f, cfg)
+		solve(sf)
+		wantSnap := snapshot(rec)
+
+		for order := 0; order < 2; order++ {
+			var counts arith.AtomicOpCounts
+			rec := shadow.NewRecorder(f, cfg)
+			obs := []arith.Observer{&counts, rec}
+			if order == 1 {
+				obs[0], obs[1] = obs[1], obs[0]
+			}
+			got := solve(arith.Observe(f, obs...))
+			if len(got) != len(want) {
+				t.Fatalf("%s order %d: %d result bits, want %d", f.Name(), order, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s order %d: result bit %d = %#x, %s alone %#x", f.Name(), order, i, got[i], f.Name(), want[i])
+				}
+			}
+			if counts.Snapshot() != alone.Snapshot() {
+				t.Errorf("%s order %d: counts %+v, counter alone %+v", f.Name(), order, counts.Snapshot(), alone.Snapshot())
+			}
+			if s := snapshot(rec); s != wantSnap {
+				t.Errorf("%s order %d: telemetry differs from shadow.Wrap alone\ngot:  %s\nwant: %s", f.Name(), order, s, wantSnap)
+			}
+		}
+	}
+}
+
+// TestRecorderConcurrent shares one fully sampled format between
+// goroutines, the way an observed format may be shared: every
+// operation is counted and measured exactly once. Run under -race it
+// is also the data-race check of the Recorder's observer methods.
+func TestRecorderConcurrent(t *testing.T) {
+	const workers, n, reps = 4, 40, 25
+	sf, rec := shadow.Wrap(arith.Posit16e2, shadow.Config{SampleEvery: 1})
+	bk := arith.BulkOf(sf)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := make([]arith.Num, n)
+			for i := range x {
+				x[i] = sf.FromFloat64(1 + float64(i)/9)
+			}
+			for r := 0; r < reps; r++ {
+				_ = bk.DotKernel(x, x)
+				bk.TrailingUpdateKernel(sf.Zero(), x, x)
+				_ = sf.Mul(x[r], x[r])
+			}
+		}()
+	}
+	wg.Wait()
+	snap := rec.Snapshot()
+	if want := uint64(workers * reps * (2*n + 1)); snap.TotalOps != want || snap.MeasuredOps != want {
+		t.Fatalf("total %d measured %d, want %d each", snap.TotalOps, snap.MeasuredOps, want)
 	}
 }

@@ -83,10 +83,10 @@ func CholeskyCtx(ctx context.Context, a *linalg.DenseNum) (*linalg.DenseNum, err
 		// every i > j. Rows are independent chains; shard them. A row
 		// whose multiplier R[j][i] is zero still goes through the
 		// kernel: the fast formats skip its elements themselves, and
-		// the instrumented and shadow wrappers count its operations.
+		// an observed format tells its observers of every operation.
 		rows := n - (j + 1)
 		if rows > 0 {
-			linalg.ParRows(rows, rows*(rows+1)/2, func(lo, hi int) {
+			linalg.ParRows(f, rows, rows*(rows+1)/2, func(lo, hi int) {
 				for t := lo; t < hi; t++ {
 					i := j + 1 + t
 					nalpha := f.Neg(rj[i])

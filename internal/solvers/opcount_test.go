@@ -16,18 +16,19 @@ func TestOpCountScaling(t *testing.T) {
 	countsFor := func(n int) (factor, solve uint64) {
 		a := laplacian1D(n)
 		_, b := onesRHS(a)
-		f, c := arith.Instrument(arith.Posit16e2)
+		var c arith.AtomicOpCounts
+		f := arith.Observe(arith.Posit16e2, &c)
 		an := a.ToDense().ToFormat(f, false)
 		r, err := solvers.Cholesky(an)
 		if err != nil {
 			t.Fatal(err)
 		}
-		factor = c.Total()
+		factor = c.Snapshot().Total()
 		bn := linalg.VecFromFloat64(f, b)
-		before := c.Total()
+		before := c.Snapshot().Total()
 		y := solvers.SolveLowerT(r, bn)
 		_ = solvers.SolveUpper(r, y)
-		solve = c.Total() - before
+		solve = c.Snapshot().Total() - before
 		return factor, solve
 	}
 
