@@ -5,10 +5,10 @@
 // change breaks the promise by more than a generous tolerance:
 //
 //   - BENCH_shadow.json: shadow-wrapper overhead on the contract
-//     workload (cholesky n=200) and on a dense matrix with no
-//     zero-multiplier rows (cholesky dense n=200) — sampled and full
-//     measurement modes must stay within slack x the recorded overhead
-//     bounds on both.
+//     workload (cholesky n=200, whose zero-multiplier rows the solver
+//     skips) and on a dense matrix with none (cholesky dense n=200) —
+//     sampled and full measurement modes must stay within slack x the
+//     recorded overhead bounds on both.
 //   - BENCH_jobs.json: ephemeral submit-to-complete throughput must
 //     reach floor-frac x the recorded jobs/s.
 //   - BENCH_lint.json: warm fact-cache RunRepo must beat cold by at

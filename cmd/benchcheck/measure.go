@@ -65,8 +65,9 @@ func laplacian1D(n int) *linalg.Sparse {
 // denseWorkload is the second workload the shadow overhead contract
 // is checked on. The contract's own workload factors the 1-D
 // Laplacian, whose trailing-update rows nearly all have a zero
-// multiplier and so are recorded in bulk; this one has no zero
-// multiplier, so every sampled operation is measured op by op.
+// multiplier, so the solver skips them and tells the recorder of their
+// operations in bulk; this one has no zero multiplier, so every row
+// reaches the kernel and every sampled operation is measured op by op.
 const denseWorkload = "cholesky dense n=200"
 
 // shadowMatrix returns the matrix of a shadow workload: the diagonally

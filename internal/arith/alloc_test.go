@@ -62,17 +62,15 @@ func TestObserveAllocs(t *testing.T) {
 		}
 	}
 
-	// A zero-scale trailing update hands its samples over in bulk.
-	zx := kernelOperands(base, 48, 5)
-	zw := make([]arith.Num, len(zx))
+	// Operations skipped as exact reach a Sampler through Exact, in
+	// O(1) per call.
 	for _, every := range []int{1, 64} {
 		sf, _ := shadow.Wrap(base, shadow.Config{SampleEvery: every})
-		bk := arith.BulkOf(sf)
-		zero := func() { copy(zw, zx); bk.TrailingUpdateKernel(base.Zero(), zx, zw) }
-		zero() // the first sampled call creates the telemetry cell
-		zero()
-		if allocs := testing.AllocsPerRun(20, zero); allocs != 0 {
-			t.Errorf("shadow stride %d, zero-scale trailing update: %v allocations, want 0", every, allocs)
+		skip := func() { arith.ObserveExact(sf, "trailing", arith.OpMulAdd, 48) }
+		skip() // the first sampled call creates the telemetry cell
+		skip()
+		if allocs := testing.AllocsPerRun(20, skip); allocs != 0 {
+			t.Errorf("shadow stride %d, ObserveExact: %v allocations, want 0", every, allocs)
 		}
 	}
 }

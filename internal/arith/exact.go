@@ -462,7 +462,7 @@ func (k *tableFormat) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 }
 
 func (k *tableFormat) TrailingUpdateKernel(nalpha Num, x, w []Num) {
-	trailingUpdate(nalpha, x, w, k.MulAddKernel)
+	k.MulAddKernel(nalpha, x, w, w)
 }
 
 func (k *tableFormat) DivKernel(alpha Num, x []Num) {

@@ -55,16 +55,3 @@ func CutsForTest(t *Tables) []uint64 { return t.cut }
 // SearchForTest exposes the binade-bounded boundary search: the largest
 // p with cut[p] <= a, for magnitude bits a.
 func SearchForTest(t *Tables, a uint64) uint32 { return t.search(a) }
-
-// ObservePerOp is Observe with the selected operations of every
-// trailing update handed to Sample one by one, zero scales included:
-// the per-op oracle of the bulk zero-scale rule (zeroScaleExact).
-func ObservePerOp(f Format, obs ...Observer) Format {
-	return perOpObserved{Observe(f, obs...).(*observed)}
-}
-
-type perOpObserved struct{ *observed }
-
-func (p perOpObserved) TrailingUpdateKernel(nalpha Num, x, w []Num) {
-	p.trailingUpdate(nalpha, x, w, false)
-}

@@ -42,9 +42,10 @@ import "math"
 // symmetry of rounding, Add(Mul(Neg(α), x), w) is bit-identical to
 // Sub(w, Mul(α, x)) in every supported format. With a ±0 scale the
 // defining sequence leaves every finite w[i] unchanged for finite x[i],
-// except IEEE's −0 + +0 = +0; the fast formats skip those elements
-// without rounding, and an observed format still tells its observers
-// of every element as one MulAdd (see zeroScaleExact).
+// except IEEE's −0 + +0 = +0. The kernels round such a call like any
+// other; the Cholesky solver skips those rows before they reach a
+// kernel and tells the observers of their operations through
+// ObserveExact.
 type BulkFormat interface {
 	DotKernel(x, y []Num) Num
 	AxpyKernel(alpha Num, x, y []Num)
@@ -292,7 +293,7 @@ func (p *widePosit) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 }
 
 func (p *widePosit) TrailingUpdateKernel(nalpha Num, x, w []Num) {
-	trailingUpdate(nalpha, x, w, p.MulAddKernel)
+	p.MulAddKernel(nalpha, x, w, w)
 }
 
 func (p *widePosit) DivKernel(alpha Num, x []Num) {
@@ -314,56 +315,6 @@ func (p *widePosit) DivKernel(alpha Num, x []Num) {
 			x[i] = p.Div(x[i], alpha)
 		}
 	}
-}
-
-// expBits64 is the float64 exponent field: a magnitude below it is
-// finite.
-const expBits64 = uint64(0x7FF) << 52
-
-// trailingUpdate is the TrailingUpdateKernel of both fast engines,
-// with the engine's MulAddKernel as mulAdd: w[i] = MulAdd(nalpha, x[i],
-// w[i]) is mulAdd with dst = y = w. A zero scale leaves w[i] as it is
-// whenever x[i] and w[i] are finite: fl(±0·x[i]) is a zero, and a zero
-// plus a finite format value is that value. The one exception is
-// IEEE's −0 + +0 = +0, so w[i] = −0 under a +0 product (sign(nalpha) =
-// sign(x[i])) takes mulAdd, as does every non-finite operand. A
-// Cholesky row whose multiplier is zero — most rows of a banded or
-// sparse matrix stored dense — then costs one read pass instead of
-// 2·len(x) roundings.
-func trailingUpdate(nalpha Num, x, w []Num, mulAdd func(alpha Num, x, y, dst []Num)) {
-	if uint64(nalpha)&^signBit64 != 0 {
-		mulAdd(nalpha, x, w, w)
-		return
-	}
-	w = w[:len(x)]
-	ns := uint64(nalpha) & signBit64
-	for i := range x {
-		xb, wb := uint64(x[i]), uint64(w[i])
-		if xb&^signBit64 < expBits64 && wb&^signBit64 < expBits64 &&
-			(wb != signBit64 || xb&signBit64 != ns) {
-			continue
-		}
-		mulAdd(nalpha, x[i:i+1], w[i:i+1], w[i:i+1])
-	}
-}
-
-// zeroScaleExact decides the operations a Window selects from a
-// zero-scale trailing update by their results w, without evaluating
-// them: each is fl(fl(±0·x[i]) + w[i]), whose exact value is the old
-// w[i]. With x[i] and w[i] finite the format returns exactly that
-// (−0 + +0 = +0 is the same value); otherwise the result is NaR/NaN or
-// ±Inf. So the result alone decides: it returns the number selected
-// and how many of them are bad. Cholesky's zero-multiplier rows, the
-// bulk of a banded factorization, then cost a Sampler no reference
-// arithmetic.
-func zeroScaleExact(f Format, w []Num, win Window) (k, bad uint64) {
-	for i := win.First; i < uint64(len(w)); i += win.Stride {
-		k++
-		if f.Bad(w[i]) {
-			bad++
-		}
-	}
-	return k, bad
 }
 
 // --- native kernels (hardware formats) ---

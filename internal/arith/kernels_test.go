@@ -235,10 +235,10 @@ func minPos(f arith.Format) arith.Num {
 	}
 }
 
-// TestTrailingUpdateZeroScaleGrid pins the zero-scale rule of
-// TrailingUpdateKernel on a fixed operand grid: with nalpha = ±0, x and
-// w run over {±0, ±minpos, ±1, ±maxpos, NaR/NaN, ±Inf} in every pairing
-// (one slice, so skipped and computed elements share a call), and every
+// TestTrailingUpdateZeroScaleGrid pins the zero-scale case of
+// TrailingUpdateKernel, the case the Cholesky solver's row skip stands
+// in for, on a fixed operand grid: with nalpha = ±0, x and w run over
+// {±0, ±minpos, ±1, ±maxpos, NaR/NaN, ±Inf} in every pairing, and every
 // element must equal the scalar Sub(w, Mul(alpha, x)) with alpha =
 // Neg(nalpha). The instrumented wrappers must count a zero-scale call
 // exactly as a nonzero one.

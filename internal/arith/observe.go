@@ -33,7 +33,8 @@ func (o Op) String() string {
 }
 
 // An Observer watches the arithmetic of a format wrapped by Observe.
-// Before every scalar operation and kernel call runs, Observe is told
+// Before every scalar operation and kernel call runs, and for the
+// operations a caller skips as exact (ObserveExact), Observe is told
 // its site ("scalar" for a scalar operation, else the kernel: "dot",
 // "axpy", "scale", "muladd", "matvec", "trailing" or "div"), its kind
 // and its operation count n. The returned Window asks for some of
@@ -159,6 +160,25 @@ func Observe(f Format, obs ...Observer) Format {
 func Samples(f Format) bool {
 	o, ok := f.(*observed)
 	return ok && o.sampling
+}
+
+// ObserveExact tells f's observers of n operations of kind op at site
+// that the caller skips because their results are known: each would
+// return a finite operand unchanged, as a zero-multiplier row of a
+// Cholesky trailing update does, so each is exact and none is bad.
+// Every observer is told of all n at once, and a Sampler whose window
+// selects k of them gets Exact(site, op, k, 0). The cost is O(1) per
+// call, and one type assertion when f is not observed.
+func ObserveExact(f Format, site string, op Op, n uint64) {
+	o, ok := f.(*observed)
+	if !ok || n == 0 {
+		return
+	}
+	for _, ob := range o.obs {
+		if w := ob.Observe(site, op, n); w.Stride != 0 && ob.s != nil && w.First < n {
+			ob.s.Exact(site, op, (n-1-w.First)/w.Stride+1, 0)
+		}
+	}
 }
 
 // begin tells ob of n operations of kind op at site and, when ob is a
@@ -346,31 +366,6 @@ func (o *observed) MulAddKernel(alpha Num, x, y, dst []Num) {
 }
 
 func (o *observed) TrailingUpdateKernel(nalpha Num, x, w []Num) {
-	o.trailingUpdate(nalpha, x, w, true)
-}
-
-// trailingUpdate hands the selected operations of a zero-scale call
-// to Exact in bulk when bulk is set, decided from the kernel's results
-// (see zeroScaleExact), and those of every other call to Sample one by
-// one.
-func (o *observed) trailingUpdate(nalpha Num, x, w []Num, bulk bool) {
-	n := uint64(len(x))
-	if bulk && o.sampling && o.Format.IsZero(nalpha) {
-		// The rule reads the results, so the windows wait for the kernel.
-		var buf [4]Window
-		wins := buf[:0]
-		for _, ob := range o.obs {
-			wins = append(wins, ob.Observe("trailing", OpMulAdd, n))
-		}
-		o.bk.TrailingUpdateKernel(nalpha, x, w)
-		for i, win := range wins {
-			if s := o.obs[i].s; s != nil && win.Stride != 0 {
-				k, bad := zeroScaleExact(o.Format, w[:n], win)
-				s.Exact("trailing", OpMulAdd, k, bad)
-			}
-		}
-		return
-	}
 	o.sampleMulAdd("trailing", nalpha, x, w)
 	o.bk.TrailingUpdateKernel(nalpha, x, w)
 }

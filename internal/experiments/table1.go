@@ -7,6 +7,7 @@ import (
 	"positlab/internal/linalg"
 	"positlab/internal/report"
 	"positlab/internal/runner"
+	"positlab/internal/solvers"
 )
 
 func init() {
@@ -48,7 +49,7 @@ func Table1(opt Options) []Table1Row {
 		rows = append(rows, Table1Row{
 			Name:         m.Target.Name,
 			CondTarget:   m.Target.Cond,
-			CondMeasured: linalg.CondViaCholesky(m.A),
+			CondMeasured: solvers.CondViaCholesky(m.A),
 			N:            m.A.N,
 			Norm2Target:  m.Target.Norm2,
 			Norm2:        linalg.Norm2Est(m.A),

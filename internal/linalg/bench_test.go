@@ -88,9 +88,10 @@ func BenchmarkCholesky200Posit16e1(b *testing.B) { benchCholesky200(b, arith.Pos
 
 // denseDominant is a dense, diagonally dominant SPD matrix (diagonal
 // 256, off-diagonal 1/(1+(i+j) mod 7)). The Laplacian above leaves
-// 19701 of its 19900 trailing-update multipliers zero, so its factor
-// mostly times the zero-row scan; this one has no zero multiplier, so
-// every trailing-update element is a rounded multiply-add.
+// 19701 of its 19900 trailing-update multipliers zero, rows the solver
+// skips, so its factor mostly times the pivots and the one kernel row
+// per step; this one has no zero multiplier, so every trailing-update
+// element is a rounded multiply-add.
 func denseDominant(n int) *linalg.Dense {
 	a := linalg.NewDense(n)
 	for i := 0; i < n; i++ {

@@ -78,8 +78,8 @@ func ensurePool() {
 // solvers' trailing updates) must guarantee the rows are
 // order-independent: each index's work is its own sequential chain of
 // rounded operations and writes only state owned by that index. work
-// is the total element count behind the n rows, used to decide whether
-// sharding pays at all.
+// is the element count body computes over the n rows (a row it skips
+// adds none), used to decide whether sharding pays at all.
 func ParRows(f arith.Format, n, work int, body func(lo, hi int)) { parRange(f, n, work, body) }
 
 // parRange runs body, which computes in format f, over [0, n) split

@@ -6,6 +6,7 @@ import (
 
 	"positlab/internal/linalg"
 	"positlab/internal/matgen"
+	"positlab/internal/solvers"
 )
 
 func TestPoisson2D(t *testing.T) {
@@ -48,7 +49,7 @@ func TestRandomSPD(t *testing.T) {
 	if norm := linalg.Norm2Est(s); math.Abs(norm-5e3)/5e3 > 1e-6 {
 		t.Errorf("norm = %g, want 5e3", norm)
 	}
-	if cond := linalg.CondViaCholesky(s); math.Abs(math.Log10(cond)-6) > 0.15 {
+	if cond := solvers.CondViaCholesky(s); math.Abs(math.Log10(cond)-6) > 0.15 {
 		t.Errorf("cond = %g, want ~1e6", cond)
 	}
 	// Determinism.

@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"positlab/internal/linalg"
+	"positlab/internal/solvers"
 )
 
 // Target describes one matrix of the paper's Table I.
@@ -145,7 +146,7 @@ func Generate(t Target) *Matrix {
 	// percent.
 	adjust := 1.0
 	for pass := 0; pass < 3; pass++ {
-		measured := linalg.CondViaCholesky(best)
+		measured := solvers.CondViaCholesky(best)
 		if !(measured > 1) || math.IsNaN(measured) {
 			break
 		}

@@ -66,8 +66,9 @@ func benchCholesky(b *testing.B, f arith.Format, every int) {
 
 // denseDominant is a dense, diagonally dominant SPD matrix (diagonal
 // 256, off-diagonal 1/(1+(i+j) mod 7)). Its Cholesky factor has no zero
-// multiplier, so every trailing update is measured op by op — unlike the
-// Laplacian's, whose zero-multiplier rows are recorded in bulk.
+// multiplier, so every trailing-update row reaches the kernel and is
+// measured op by op — unlike the Laplacian's, whose zero-multiplier rows
+// the solver skips, telling the recorder of their operations in bulk.
 func denseDominant(n int) *linalg.Dense {
 	a := linalg.NewDense(n)
 	for i := 0; i < n; i++ {
@@ -150,9 +151,13 @@ func TestWriteShadowBenchReport(t *testing.T) {
 			}
 		}
 	}
+	// The contract workload: the solver skips the Laplacian's
+	// zero-multiplier rows, and their sampled operations reach the
+	// recorder through one Exact call per run of skipped rows.
 	choOff, choSampled, choFull := workload("cholesky n=200", cholesky(laplacian1D(200).ToDense()))
-	// No zero multipliers: every sampled trailing-update operation is
-	// measured against the reference. cmd/benchcheck checks it against
+	// No zero multipliers: every row reaches the kernel, and every
+	// sampled trailing-update operation is measured against the
+	// reference. cmd/benchcheck checks it against
 	// the same contract, with its slack.
 	workload("cholesky dense n=200", cholesky(denseDominant(200)))
 

@@ -29,9 +29,21 @@ var ErrNotPositiveDefinite = errors.New("solvers: matrix not positive definite i
 // subtraction chain, in the same k-order, as the classic left-looking
 // dot-product form, so results are bit-identical to the scalar
 // reference (asserted by the differential tests) — but the inner loops
-// now run over contiguous rows with batched dispatch, and the
+// run over contiguous rows with batched dispatch, and the
 // trailing-update rows are independent, so they shard across the
 // linalg worker pool deterministically.
+//
+// A row whose multiplier R[j][i] is ±0 is skipped, so the cost follows
+// the factor's nonzeros. Every R[j][l] is finite by then, so each
+// skipped element would compute fl(±0) + W[i][l] = W[i][l], except
+// IEEE's −0 + +0 = +0. A working entry is −0 only if it starts as −0
+// (a rounded sum is −0 only when both addends are), so one scan of the
+// input pins the rows holding a −0, or a non-finite value, to the
+// kernel. A non-finite entry ends in a breakdown either way, but a
+// Sampler counts it as bad: on a sampling format a row the kernel has
+// updated is rescanned for one before it is next skipped. Each run of
+// skipped rows is told to f's observers through arith.ObserveExact, so
+// op counts and shadow telemetry are those of the kernel calls.
 func Cholesky(a *linalg.DenseNum) (*linalg.DenseNum, error) {
 	return CholeskyCtx(context.Background(), a)
 }
@@ -50,10 +62,20 @@ func CholeskyCtx(ctx context.Context, a *linalg.DenseNum) (*linalg.DenseNum, err
 
 	// Working copy: the upper triangle of a, updated in place as
 	// factored rows are eliminated. Entry (j,i) holds
-	// a[j][i] − Σ_{k<done} R[k][j]·R[k][i].
+	// a[j][i] − Σ_{k<done} R[k][j]·R[k][i]. A pinned row reaches the
+	// kernel whatever its multiplier.
+	pinned := make([]bool, n)
 	for i := 0; i < n; i++ {
 		copy(r.Row(i)[i:], a.Row(i)[i:])
+		pinned[i] = negZeroOrBad(f, r.Row(i)[i:])
 	}
+	// On a sampling format, dirty marks the rows the kernel has updated
+	// since they were last scanned for a non-finite value.
+	var dirty []bool
+	if arith.Samples(f) {
+		dirty = make([]bool, n)
+	}
+	kern := make([]bool, n) // the rows of step j's update that reach the kernel
 
 	for j := 0; j < n; j++ {
 		if err := ctx.Err(); err != nil {
@@ -80,22 +102,49 @@ func CholeskyCtx(ctx context.Context, a *linalg.DenseNum) (*linalg.DenseNum, err
 			return nil, ErrNotPositiveDefinite
 		}
 		// Trailing update: W[i][i:] ← W[i][i:] − R[j][i]·R[j][i:] for
-		// every i > j. Rows are independent chains; shard them. A row
-		// whose multiplier R[j][i] is zero still goes through the
-		// kernel: the fast formats skip its elements themselves, and
-		// an observed format tells its observers of every operation.
-		rows := n - (j + 1)
-		if rows > 0 {
-			linalg.ParRows(f, rows, rows*(rows+1)/2, func(lo, hi int) {
-				for t := lo; t < hi; t++ {
-					i := j + 1 + t
-					nalpha := f.Neg(rj[i])
-					bk.TrailingUpdateKernel(nalpha, rj[i:], r.Row(i)[i:])
+		// every i > j that reaches the kernel. Rows are independent
+		// chains; shard them by the elements the kernel updates.
+		work := 0
+		for i := j + 1; i < n; i++ {
+			k := pinned[i] || !f.IsZero(rj[i])
+			if !k && dirty != nil && dirty[i] {
+				dirty[i] = false
+				pinned[i] = linalg.HasBad(f, r.Row(i)[i:])
+				k = pinned[i]
+			}
+			if k {
+				work += n - i
+				if dirty != nil {
+					dirty[i] = true
 				}
-			})
+			}
+			kern[i] = k
 		}
+		linalg.ParRows(f, n-(j+1), work, func(lo, hi int) {
+			var skipped uint64 // operations of the current run of skipped rows
+			for i := j + 1 + lo; i < j+1+hi; i++ {
+				if !kern[i] {
+					skipped += uint64(n - i)
+					continue
+				}
+				arith.ObserveExact(f, "trailing", arith.OpMulAdd, skipped)
+				skipped = 0
+				bk.TrailingUpdateKernel(f.Neg(rj[i]), rj[i:], r.Row(i)[i:])
+			}
+			arith.ObserveExact(f, "trailing", arith.OpMulAdd, skipped)
+		})
 	}
 	return r, nil
+}
+
+// negZeroOrBad reports whether row holds a −0 or a non-finite value.
+func negZeroOrBad(f arith.Format, row []arith.Num) bool {
+	for _, v := range row {
+		if f.Bad(v) || f.IsZero(v) && math.Signbit(f.ToFloat64(v)) {
+			return true
+		}
+	}
+	return false
 }
 
 // SolveUpper solves R·x = y for upper-triangular R by back
@@ -182,14 +231,21 @@ func FactorizationError(a *linalg.Dense, r *linalg.DenseNum) float64 {
 // to every upper-triangle entry (i, j ≥ i) with i ≥ k, so each entry
 // sums its products from zero in ascending k — the roundings, in
 // order, of the per-entry column dot product — over contiguous rows.
-// The lower triangle holds the same sums (the products commute).
+// The lower triangle holds the same sums (the products commute). A
+// zero R[k][i] is skipped: its products are zeros (R is finite), and
+// adding a zero changes no sum, since a sum that starts at +0 is never
+// −0.
 func factorErrorF64(a, rf *linalg.Dense) float64 {
 	n := a.N
 	g := make([]float64, n*n)
 	for k := 0; k < n; k++ {
 		rk := rf.A[k*n : (k+1)*n]
 		for i := k; i < n; i++ {
-			rki, gi, rkj := rk[i], g[i*n+i:(i+1)*n], rk[i:]
+			rki := rk[i]
+			if rki == 0 {
+				continue
+			}
+			gi, rkj := g[i*n+i:(i+1)*n], rk[i:]
 			rkj = rkj[:len(gi)]
 			for j := range gi {
 				gi[j] += rki * rkj[j]
@@ -212,4 +268,57 @@ func factorErrorF64(a, rf *linalg.Dense) float64 {
 		return math.Sqrt(num)
 	}
 	return math.Sqrt(num / den)
+}
+
+// CondViaCholesky measures the spectral condition number of an SPD
+// matrix: λmax by Lanczos, λmin by inverse power iteration through its
+// Cholesky factor in Float64. Unlike plain Lanczos, the inverse
+// iteration resolves λmin reliably even at condition numbers ~1e11,
+// where the small end of the spectrum is exponentially clustered. It
+// returns NaN when either estimate fails.
+func CondViaCholesky(a *linalg.Sparse) float64 {
+	_, lmax, err := linalg.Lanczos(a, 100)
+	if err != nil || lmax <= 0 {
+		return math.NaN()
+	}
+	r, err := Cholesky(a.ToDense().ToFormat(arith.Float64, false))
+	if err != nil {
+		return math.NaN()
+	}
+	return lmax / lambdaMin(a, r.ToFloat64())
+}
+
+// lambdaMin estimates the smallest eigenvalue of a by inverse power
+// iteration through its float64 Cholesky factor rf.
+func lambdaMin(a *linalg.Sparse, rf *linalg.Dense) float64 {
+	n := a.N
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = 1 / math.Sqrt(float64(n))
+		if i%2 == 1 {
+			v[i] = -v[i]
+		}
+	}
+	var mu float64
+	w := make([]float64, n)
+	for k := 0; k < 40; k++ {
+		copy(w, v)
+		linalg.SolveCholF64(rf, w)
+		nw := linalg.Norm2F64(w)
+		if nw == 0 || math.IsNaN(nw) || math.IsInf(nw, 0) {
+			return math.NaN()
+		}
+		mu = nw // ≈ 1/λmin once converged (‖v‖ = 1)
+		for i := range w {
+			v[i] = w[i] / nw
+		}
+	}
+	// Rayleigh quotient through A for the final estimate.
+	av := make([]float64, n)
+	a.MatVecF64(v, av)
+	lmin := linalg.DotF64(v, av)
+	if lmin <= 0 {
+		lmin = 1 / mu
+	}
+	return lmin
 }

@@ -1,6 +1,8 @@
 package solvers_test
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"positlab/internal/arith"
@@ -143,6 +145,67 @@ func TestCholeskyBreakdownMatchesReference(t *testing.T) {
 	}
 	if errW == nil {
 		t.Fatal("overflow case unexpectedly factored")
+	}
+}
+
+// signedZeroMatrix is a seeded sparse symmetric matrix of order 8 to
+// 27: diagonal in [1, 2), 15% of the off-diagonal pairs nonzero in
+// (−1, 1), and 40% of the structural zeros stored as −0. Some are
+// indefinite.
+func signedZeroMatrix(seed uint64) *linalg.Dense {
+	rng := rand.New(rand.NewPCG(seed, 0x2e80))
+	n := 8 + rng.IntN(20)
+	d := linalg.NewDense(n)
+	for i := 0; i < n; i++ {
+		d.Set(i, i, 1+rng.Float64())
+		for j := i + 1; j < n; j++ {
+			v := 0.0
+			if rng.Float64() < 0.15 {
+				v = 2*rng.Float64() - 1
+			} else if rng.Float64() < 0.4 {
+				v = math.Copysign(0, -1)
+			}
+			d.Set(i, j, v)
+			d.Set(j, i, v)
+		}
+	}
+	return d
+}
+
+// TestCholeskySignedZeroGrid checks the zero-multiplier row skip
+// against the left-looking reference where it could go wrong: a
+// skipped −0 entry stays −0, but −0 − (−0) is +0. On 400 seeded
+// matrices per IEEE format, factor bits and breakdowns must match, and
+// the grid must hold factors with −0 entries as well as breakdowns.
+func TestCholeskySignedZeroGrid(t *testing.T) {
+	for _, f := range []arith.Format{arith.Float16, arith.BFloat16, arith.Float32, arith.Float64} {
+		var factored, negZeros, broke int
+		for seed := uint64(0); seed < 400; seed++ {
+			a := signedZeroMatrix(seed).ToFormat(f, true)
+			want, errW := refCholesky(a)
+			got, errG := solvers.Cholesky(a)
+			if errW != errG {
+				t.Fatalf("%s seed %d: error mismatch: ref %v, kernel %v", f.Name(), seed, errW, errG)
+			}
+			if errW != nil {
+				broke++
+				continue
+			}
+			factored++
+			for i := range want.A {
+				if got.A[i] != want.A[i] {
+					t.Fatalf("%s seed %d: factor differs at flat index %d: %#x vs %#x",
+						f.Name(), seed, i, got.A[i], want.A[i])
+				}
+				if f.IsZero(want.A[i]) && math.Signbit(f.ToFloat64(want.A[i])) {
+					negZeros++
+				}
+			}
+		}
+		if factored == 0 || negZeros == 0 || broke == 0 {
+			t.Fatalf("%s: %d factors holding %d −0 entries, %d breakdowns; want some of each",
+				f.Name(), factored, negZeros, broke)
+		}
 	}
 }
 

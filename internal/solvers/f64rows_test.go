@@ -1,4 +1,4 @@
-package solvers
+package solvers_test
 
 import (
 	"math"
@@ -8,6 +8,7 @@ import (
 	"positlab/internal/linalg"
 	"positlab/internal/matgen"
 	"positlab/internal/scaling"
+	"positlab/internal/solvers"
 )
 
 // colFactorError is FactorizationError's column form: each entry of
@@ -64,7 +65,8 @@ func colSolveCholF64(r *linalg.Dense, b []float64) []float64 {
 // TestRowOrderedF64Kernels asserts the row-ordered factorization error
 // and triangular solve are bit-identical to their column forms on the
 // Higham-scaled 16-bit factors of a Table III matrix, on a diagonal
-// matrix, and on n = 1.
+// matrix (whose factor's zero entries the row-ordered error skips), and
+// on n = 1.
 func TestRowOrderedF64Kernels(t *testing.T) {
 	type system struct {
 		name string
@@ -81,8 +83,8 @@ func TestRowOrderedF64Kernels(t *testing.T) {
 	m := matgen.Generate(tgt)
 	rs := scaling.HighamEquilibrate(m.A, 1e-8, 100)
 	for _, f := range []arith.Format{arith.Float16, arith.Posit16e1, arith.Posit16e2} {
-		ah := scaledDense(m.A, rs, scaling.MuFor(f))
-		r, err := Cholesky(ah.ToFormat(f, true))
+		ah := solvers.ScaledDense(m.A, rs, scaling.MuFor(f))
+		r, err := solvers.Cholesky(ah.ToFormat(f, true))
 		if err != nil {
 			t.Fatalf("%s: Higham-scaled bcsstk01 factor: %v", f.Name(), err)
 		}
@@ -94,7 +96,7 @@ func TestRowOrderedF64Kernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	dd := diag.ToDense()
-	rd, err := Cholesky(dd.ToFormat(arith.Posit16e1, true))
+	rd, err := solvers.Cholesky(dd.ToFormat(arith.Posit16e1, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestRowOrderedF64Kernels(t *testing.T) {
 
 	one := linalg.NewDense(1)
 	one.A[0] = 3
-	r1, err := Cholesky(one.ToFormat(arith.Float16, true))
+	r1, err := solvers.Cholesky(one.ToFormat(arith.Float16, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +116,12 @@ func TestRowOrderedF64Kernels(t *testing.T) {
 
 	for _, s := range systems {
 		rf := s.r.ToFloat64()
-		got, want := factorErrorF64(s.ah, rf), colFactorError(s.ah, rf)
+		got, want := solvers.FactorErrorF64(s.ah, rf), colFactorError(s.ah, rf)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s: factor error %g (bits %x), column form %g (bits %x)",
 				s.name, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-		if pub := FactorizationError(s.ah, s.r); math.Float64bits(pub) != math.Float64bits(want) {
+		if pub := solvers.FactorizationError(s.ah, s.r); math.Float64bits(pub) != math.Float64bits(want) {
 			t.Errorf("%s: FactorizationError %g, column form %g", s.name, pub, want)
 		}
 
