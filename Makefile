@@ -68,7 +68,7 @@ determinism:
 #   POSITLAB_CHAOS_REPLAY=N  reproduce one printed failure seed
 #   POSITLAB_CHAOS_DROP_SYNC=1  canary: tests MUST fail under it
 chaos:
-	$(GO) test -run TestChaos -count=1 -v ./internal/jobs/ ./internal/runner/ ./internal/arith/ ./internal/shadow/
+	$(GO) test -run TestChaos -count=1 -v ./internal/jobs/ ./internal/runner/ ./internal/shadow/
 
 # Re-assert the checked-in performance contracts (BENCH_shadow.json
 # overhead ratios, BENCH_jobs.json throughput floor, BENCH_lint.json

@@ -11,7 +11,7 @@
 //	       [-jobs-dir dir] [-job-workers N] [-checkpoint-every N]
 //	       [-max-queued-jobs N]
 //	       [-matrices a,b,c] [-cgcap N] [-irmax N] [-quiet]
-//	       [-pprof] [-table-cache dir] [-fault-plan plan]
+//	       [-pprof] [-fault-plan plan]
 //
 // Endpoints:
 //
@@ -29,9 +29,6 @@
 //	GET  /debug/metrics           per-route latency, cache, op, job counters
 //	GET  /debug/vars              expvar
 //	GET  /debug/pprof/...         runtime profiles (only with -pprof)
-//
-// With -table-cache, the exhaustive <=16-bit arithmetic lookup tables
-// persist across restarts instead of being rebuilt on first use.
 //
 // With -jobs-dir, jobs are journaled to disk: a SIGKILLed or restarted
 // positd replays the journal on startup and resumes interrupted solver
@@ -61,7 +58,6 @@ import (
 	"syscall"
 	"time"
 
-	"positlab/internal/arith"
 	"positlab/internal/experiments"
 	"positlab/internal/faultfs"
 	"positlab/internal/jobs"
@@ -94,7 +90,6 @@ func run(argv []string, stderr io.Writer) int {
 	irmax := fs.Int("irmax", 1000, "iterative-refinement cap for experiments")
 	quiet := fs.Bool("quiet", false, "suppress the JSON access log")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	tableCache := fs.String("table-cache", "", "on-disk arithmetic lookup-table cache directory (empty = build tables in memory each start)")
 	faultPlan := fs.String("fault-plan", "", "inject deterministic filesystem faults into the job journal (testing only; faultfs plan syntax, e.g. \"seed=7;op=sync,mode=eio,after=10\")")
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -125,14 +120,6 @@ func run(argv []string, stderr io.Writer) int {
 		return usage("-max-queued-jobs must be >= 1, got %d", *maxQueuedJobs)
 	}
 	linalg.SetWorkers(*par)
-	if *tableCache != "" {
-		// An unusable cache directory degrades to building tables in
-		// memory (SetTableCacheDir already disabled the disk cache);
-		// warn and keep serving rather than refusing to start.
-		if err := arith.SetTableCacheDir(*tableCache); err != nil {
-			fmt.Fprintf(stderr, "positd: -table-cache unusable, building tables in memory: %v\n", err)
-		}
-	}
 
 	opt := experiments.Options{CGCapFactor: *cgcap, IRMaxIter: *irmax}
 	if *matrices != "" {

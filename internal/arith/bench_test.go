@@ -53,28 +53,18 @@ func BenchmarkSlowFloat16(b *testing.B) {
 func BenchmarkNativeFloat64(b *testing.B) { benchFormat(b, arith.Float64) }
 func BenchmarkNativeFloat32(b *testing.B) { benchFormat(b, arith.Float32) }
 
-// Table-build cost: what the first use of a table-backed format pays
-// (once per process, or once ever with the on-disk cache). The
-// reported table-bytes metric is the resident footprint per format.
+// Table-build cost: what the first use of a table-backed format pays,
+// once per process. The reported table-bytes metric is the resident
+// footprint per format.
 var sinkTables *arith.Tables
 
-func BenchmarkTableBuildPosit8e1(b *testing.B) {
+func benchTableBuild(b *testing.B, f arith.Format) {
 	for i := 0; i < b.N; i++ {
-		sinkTables = arith.LoadOrBuildPositTablesForTest("", posit.Posit8e1)
+		sinkTables = arith.BuildTablesForTest(f)
 	}
 	b.ReportMetric(float64(sinkTables.MemBytes()), "table-bytes")
 }
 
-func BenchmarkTableBuildPosit16e2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables = arith.LoadOrBuildPositTablesForTest("", posit.Posit16e2)
-	}
-	b.ReportMetric(float64(sinkTables.MemBytes()), "table-bytes")
-}
-
-func BenchmarkTableBuildFloat16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables = arith.BuildMiniTablesForTest(minifloat.Float16)
-	}
-	b.ReportMetric(float64(sinkTables.MemBytes()), "table-bytes")
-}
+func BenchmarkTableBuildPosit8e1(b *testing.B)  { benchTableBuild(b, arith.MustByName("posit8es1")) }
+func BenchmarkTableBuildPosit16e2(b *testing.B) { benchTableBuild(b, arith.Posit16e2) }
+func BenchmarkTableBuildFloat16(b *testing.B)   { benchTableBuild(b, arith.Float16) }

@@ -80,14 +80,13 @@ type Tables struct {
 	// pattern between cutByE[e] and cutByE[e+1], so locate searches
 	// only that range — about fb probes in a binade with fb fraction
 	// bits, one or two in the region scales, instead of 16. Derived
-	// from cut in finalize; the cache does not store it. (uint16 holds
-	// any index: a <=16-bit format has fewer than 2^15 positive
-	// patterns.)
+	// from cut in finalize. (uint16 holds any index: a <=16-bit format
+	// has fewer than 2^15 positive patterns.)
 	cutByE [2049]uint16
 }
 
-// finalize derives the redundant hot-path tables; called after both
-// builders and after a cache load.
+// finalize derives the redundant hot-path tables; both builders call
+// it last.
 func (t *Tables) finalize() {
 	for i, b := range t.fb {
 		if b >= 1 {
@@ -104,7 +103,7 @@ func (t *Tables) finalize() {
 	}
 }
 
-// positSpec and miniSpec are the registry/cache identities of a format
+// positSpec and miniSpec are the registry identities of a format
 // configuration. They name the rounding semantics completely.
 func positSpec(c posit.Config) string { return fmt.Sprintf("posit%de%d", c.N(), c.ES()) }
 

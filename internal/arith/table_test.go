@@ -3,8 +3,6 @@ package arith_test
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"positlab/internal/arith"
@@ -275,17 +273,21 @@ func TestDivKernelInstrumented(t *testing.T) {
 }
 
 // TestTableRegistrySingleflight hammers the first use of a
-// fresh-to-this-process format from many goroutines: exactly one build
-// must happen, every caller must see the same tables, and the run must
-// be race-clean (asserted under -race in make verify).
+// fresh-to-this-process format from many goroutines, split across two
+// format values of the same spec: exactly one build must happen, both
+// values must share the same tables, every caller must see the same
+// results, and the run must be race-clean (asserted under -race in
+// make verify).
 func TestTableRegistrySingleflight(t *testing.T) {
-	f := arith.FastPosit(posit.MustNew(12, 1)) // no other test uses posit(12,1)
+	c := posit.MustNew(12, 1) // no other test uses posit(12,1)
+	fs := [2]arith.Format{arith.FastPosit(c), arith.FastPosit(c)}
 	before := arith.TableBuildCount()
 	const workers = 24
 	results := make([]arith.Num, workers)
 	done := make(chan int, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
+			f := fs[w%2]
 			x := f.FromFloat64(1.5)
 			results[w] = f.Add(x, f.Mul(x, x)) // first op forces the lazy build
 			done <- w
@@ -302,142 +304,17 @@ func TestTableRegistrySingleflight(t *testing.T) {
 			t.Errorf("worker %d saw %v, worker 0 saw %v", w, results[w], results[0])
 		}
 	}
-	tab, ok := arith.TablesOf(f)
-	if !ok || tab.Spec() != arith.PositTableSpec(posit.MustNew(12, 1)) {
-		t.Errorf("TablesOf after build: ok=%v spec=%q", ok, tab.Spec())
+	tab0, ok0 := arith.TablesOf(fs[0])
+	tab1, ok1 := arith.TablesOf(fs[1])
+	if !ok0 || !ok1 || tab0.Spec() != arith.PositTableSpec(c) {
+		t.Fatalf("TablesOf after build: ok=%v,%v spec=%q", ok0, ok1, tab0.Spec())
 	}
-}
-
-// TestTableDiskCache covers the on-disk cache lifecycle: a first load
-// builds and persists, a second load is served from disk bit-for-bit,
-// corruption forces a silent rebuild, and a schema bump changes the
-// cache key so stale entries are ignored rather than misread.
-func TestTableDiskCache(t *testing.T) {
-	dir := t.TempDir()
-	c := posit.MustNew(10, 1) // unique to this test: every load is observable
-	spec := arith.PositTableSpec(c)
-	path := arith.TableCachePathForTest(dir, spec)
-
-	b0 := arith.TableBuildCount()
-	t1 := arith.LoadOrBuildPositTablesForTest(dir, c)
-	if d := arith.TableBuildCount() - b0; d != 1 {
-		t.Fatalf("first load: %d builds, want 1", d)
+	if tab0 != tab1 {
+		t.Errorf("two FastPosit values of %s hold different tables", tab0.Spec())
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("first load did not persist the tables: %v", err)
-	}
-
-	t2 := arith.LoadOrBuildPositTablesForTest(dir, c)
-	if d := arith.TableBuildCount() - b0; d != 1 {
-		t.Fatalf("second load rebuilt (%d builds total), want disk hit", d)
-	}
-	m1, m2 := arith.MarshalTablesForTest(t1), arith.MarshalTablesForTest(t2)
-	if string(m1) != string(m2) {
-		t.Fatal("tables loaded from disk differ from the built tables")
-	}
-	for p := 0; p < 1<<t1.Width(); p++ {
-		a, b := t1.Decode(uint16(p)), t2.Decode(uint16(p))
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("decode[%#x] differs after disk round-trip: %g vs %g", p, a, b)
-		}
-	}
-
-	// Corrupt one payload byte: the SHA-256 trailer must reject the
-	// entry and the loader must rebuild (and rewrite) silently.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_ = arith.LoadOrBuildPositTablesForTest(dir, c)
-	if d := arith.TableBuildCount() - b0; d != 2 {
-		t.Fatalf("corrupt entry: %d builds total, want rebuild (2)", d)
-	}
-	if fresh, err := os.ReadFile(path); err != nil || string(fresh) == string(data) {
-		t.Fatalf("corrupt entry was not rewritten (err=%v)", err)
-	}
-
-	// Schema bump: different cache key, so the old entry is simply
-	// never consulted and a fresh one is built alongside it.
-	restore := arith.SetTableSchemaForTest("positlab-tables/v-test")
-	defer restore()
-	bumped := arith.TableCachePathForTest(dir, spec)
-	if bumped == path {
-		t.Fatal("schema bump did not change the cache key")
-	}
-	_ = arith.LoadOrBuildPositTablesForTest(dir, c)
-	if d := arith.TableBuildCount() - b0; d != 3 {
-		t.Fatalf("schema bump: %d builds total, want 3", d)
-	}
-	if _, err := os.Stat(bumped); err != nil {
-		t.Fatalf("schema-bumped entry not persisted: %v", err)
-	}
-}
-
-// TestTableCacheDirRegistry exercises the registry-level cache-dir
-// wiring (SetTableCacheDir, as the positd -table-cache flag and the
-// POSITLAB_TABLE_CACHE env use it): first use of a format persists its
-// tables into the configured directory.
-func TestTableCacheDirRegistry(t *testing.T) {
-	dir := t.TempDir()
-	if err := arith.SetTableCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := arith.SetTableCacheDir(""); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	c := posit.MustNew(14, 2) // unique to this test
-	f := arith.FastPosit(c)
-	_ = f.Add(f.One(), f.One())
-	path := arith.TableCachePathForTest(dir, arith.PositTableSpec(c))
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("registry did not persist tables for %s: %v", arith.PositTableSpec(c), err)
-	}
-}
-
-// TestTableCacheDirUnusable exercises the degraded path: an unusable
-// cache directory (here, a path routed through a regular file, so
-// MkdirAll fails even for root) reports an error but leaves the
-// registry serving in-memory tables with the disk cache disabled.
-func TestTableCacheDirUnusable(t *testing.T) {
-	base := t.TempDir()
-	file := filepath.Join(base, "blocker")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bad := filepath.Join(file, "cache")
-	err := arith.SetTableCacheDir(bad)
-	if err == nil {
-		t.Fatalf("SetTableCacheDir(%q) succeeded on a path through a file", bad)
-	}
-	defer func() {
-		if err := arith.SetTableCacheDir(""); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	// The fallback must behave exactly like no cache: tables build in
-	// memory and arithmetic works.
-	c := posit.MustNew(13, 1) // unique to this test
-	f := arith.FastPosit(c)
-	if got := f.ToFloat64(f.Add(f.One(), f.One())); got != 2 {
-		t.Fatalf("in-memory fallback: 1+1 = %g, want 2", got)
-	}
-	// And the registry must not have latched the unusable dir: a later
-	// good dir works and persists.
-	good := t.TempDir()
-	if err := arith.SetTableCacheDir(good); err != nil {
-		t.Fatal(err)
-	}
-	c2 := posit.MustNew(13, 2) // unique to this test
-	f2 := arith.FastPosit(c2)
-	_ = f2.Add(f2.One(), f2.One())
-	if _, err := os.Stat(arith.TableCachePathForTest(good, arith.PositTableSpec(c2))); err != nil {
-		t.Fatalf("cache dir set after a failed one did not persist: %v", err)
+	named, _ := arith.TablesOf(arith.MustByName("posit16es1"))
+	if paper, _ := arith.TablesOf(arith.Posit16e1); paper != named {
+		t.Error("arith.Posit16e1 and MustByName(\"posit16es1\") hold different tables")
 	}
 }
 
@@ -461,25 +338,15 @@ func plainSearch(cut []uint64, a uint64) uint32 {
 // search: for every tabled format, the bounded search returns what the
 // plain binary search returns at every boundary, one bit pattern on
 // either side of it, and the first and last float64 of every binade.
-// It runs on the registry's tables (read from disk when
-// POSITLAB_TABLE_CACHE names a warm cache, as in the CI table-engine
-// smoke), on freshly built tables, and on tables read back from a
-// cache directory, since the index is derived after every load.
+// It runs on the registry's tables and on freshly built ones.
 func TestTablesLocateIndex(t *testing.T) {
 	for _, tf := range tabbedFormats(t) {
 		t.Run(tf.name, func(t *testing.T) {
 			reg, _ := arith.TablesOf(tf.fast)
-			dir := t.TempDir()
-			fresh := arith.LoadOrBuildTablesForTest(dir, tf.fast) // builds and persists
-			b0 := arith.TableBuildCount()
-			disk := arith.LoadOrBuildTablesForTest(dir, tf.fast)
-			if d := arith.TableBuildCount() - b0; d != 0 {
-				t.Fatalf("second load rebuilt the tables (%d builds), want a disk hit", d)
-			}
 			for _, src := range []struct {
 				name string
 				tab  *arith.Tables
-			}{{"registry", reg}, {"fresh", fresh}, {"disk", disk}} {
+			}{{"registry", reg}, {"fresh", arith.BuildTablesForTest(tf.fast)}} {
 				t.Run(src.name, func(t *testing.T) {
 					cut := arith.CutsForTest(src.tab)
 					var probes []uint64

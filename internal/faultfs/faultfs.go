@@ -1,8 +1,8 @@
 // Package faultfs is the filesystem seam under every durable path in
-// the repository — the jobs journal, the runner result cache, the
-// arithmetic table cache, and the shadow/experiment artifact writers —
-// plus a deterministic, seed-driven fault scheduler for exploring how
-// those paths behave when the disk misbehaves.
+// the repository — the jobs journal, the runner result cache, and the
+// shadow/experiment artifact writers — plus a deterministic,
+// seed-driven fault scheduler for exploring how those paths behave
+// when the disk misbehaves.
 //
 // The seam is the FS interface: the handful of os-level operations the
 // durable layers actually perform (open, create, write, sync, rename,

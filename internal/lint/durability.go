@@ -7,9 +7,10 @@ import (
 
 // durabilityScope: the packages that own crash-durable state — the job
 // journal/snapshot, the runner's result cache and runs.json, the
-// filesystem seam itself, the arith table cache, and the shadow
-// artifact writer — where the write-fsync-rename ordering is the whole
-// correctness story.
+// filesystem seam itself, and the shadow artifact writer — where the
+// write-fsync-rename ordering is the whole correctness story. arith
+// writes no files; it stays in scope so that a file writer added
+// there is checked from its first line.
 var durabilityScope = []string{"jobs", "runner", "faultfs", "arith", "shadow"}
 
 // durabilityRule enforces the atomic-replace protocol on durable

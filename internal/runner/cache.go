@@ -82,7 +82,9 @@ func (c *Cache) path(key string) string {
 }
 
 // Get returns the cached result for key, reporting ok=false on a miss.
-// Undecodable or stale-schema entries are misses, not errors.
+// Undecodable or stale-schema entries are misses, not errors, and so
+// are entries stored for another key and entries naming an artifact
+// that is not a plain file name.
 func (c *Cache) Get(key string) (*Result, bool, error) {
 	data, err := c.fs.ReadFile(c.path(key))
 	if os.IsNotExist(err) {
@@ -92,10 +94,24 @@ func (c *Cache) Get(key string) (*Result, bool, error) {
 		return nil, false, err
 	}
 	var e cacheEntry
-	if json.Unmarshal(data, &e) != nil || e.Schema != cacheSchema || e.Result == nil {
+	if json.Unmarshal(data, &e) != nil || e.Schema != cacheSchema || e.Key != key ||
+		e.Result == nil || !plainArtifactNames(e.Result.Artifacts) {
 		return nil, false, nil
 	}
 	return e.Result, true, nil
+}
+
+// plainArtifactNames reports whether every artifact name is a plain
+// file name. Callers join the name onto an output directory, so a name
+// with a path separator, or one that is empty, "." or "..", would
+// write outside it.
+func plainArtifactNames(arts []Artifact) bool {
+	for _, a := range arts {
+		if a.Name == "" || a.Name == "." || a.Name == ".." || a.Name != filepath.Base(a.Name) {
+			return false
+		}
+	}
+	return true
 }
 
 // Put stores res under key, atomically (temp file + fsync + rename via

@@ -314,6 +314,52 @@ func TestCacheRoundTripAndMiss(t *testing.T) {
 	}
 }
 
+// TestCacheGetRejectsForeignEntries plants entries that decode but do
+// not belong where they lie: one copied to another key's path, and
+// ones naming an artifact that is not a plain file name (experiments
+// -csv/-svg join the name onto the output directory). Each must be a
+// miss, like an undecodable entry.
+func TestCacheGetRejectsForeignEntries(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyA, _ := c.Key("fig6", map[string]any{"matrices": []string{"a"}})
+	keyB, _ := c.Key("fig6", map[string]any{"matrices": []string{"b"}})
+	if err := c.Put(keyA, &Result{Body: "body of A"}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(c.path(keyA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(c.path(keyB)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.path(keyB), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok, err := c.Get(keyB); err != nil || ok {
+		t.Errorf("entry of %s served for %s: ok=%v err=%v res=%+v", keyA, keyB, ok, err, res)
+	}
+	if _, ok, err := c.Get(keyA); err != nil || !ok {
+		t.Fatalf("entry at its own key: ok=%v err=%v, want hit", ok, err)
+	}
+
+	for _, name := range []string{"", ".", "..", "../escape.csv", "sub/fig6.csv", "/out/fig6.csv", "fig6.csv/"} {
+		res := &Result{Body: "b", Artifacts: []Artifact{
+			{Name: "fig6.csv", Kind: CSV, Content: "a\n"},
+			{Name: name, Kind: CSV, Content: "b\n"},
+		}}
+		if err := c.Put(keyA, res); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := c.Get(keyA); err != nil || ok {
+			t.Errorf("artifact name %q: ok=%v err=%v, want miss", name, ok, err)
+		}
+	}
+}
+
 func TestSchedulerCacheHitSkipsWork(t *testing.T) {
 	dir := t.TempDir()
 	newReg := func(runs *int32, mu *sync.Mutex) *Registry {
