@@ -1,13 +1,14 @@
 # Developer entry points. `make verify` is the repo's gate: gofmt,
 # vet, build, the inline guard, the positlint static-analysis suite, the
-# full test suite, a race-detector pass over every package, and the
-# worker-count determinism check.
+# full test suite, a race-detector pass over every package, the
+# runner-jobs determinism check, and a repeated race pass over the
+# concurrent-use tests.
 
 GO ?= go
 
-.PHONY: verify fmt vet build inline lint test race determinism serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
+.PHONY: verify fmt vet build inline lint test race determinism stress serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
 
-verify: fmt vet build inline lint test race determinism
+verify: fmt vet build inline lint test race determinism stress
 
 # Fail, naming the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -47,19 +48,25 @@ race:
 	$(GO) test -race ./...
 
 # Fail, showing the diff, when the experiments' stdout depends on the
-# worker counts: the shadow-diagnosed Table III grid runs serially
-# (-par 1 -jobs 1) and sharded (-par 2 -jobs 2), and the two outputs
+# runner's job count: the shadow-diagnosed Table III grid runs one job
+# at a time (-jobs 1) and two at once (-jobs 2), and the two outputs
 # must match once the "(...)" elapsed-time suffixes are stripped.
 DETERMINISM_ARGS := -matrices bcsstk22,494_bus,nos5 -shadow table3 diagnose
 
 determinism:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) build -o "$$d/experiments" ./cmd/experiments && \
-	"$$d/experiments" -par 1 -jobs 1 $(DETERMINISM_ARGS) > "$$d/serial" && \
-	"$$d/experiments" -par 2 -jobs 2 $(DETERMINISM_ARGS) > "$$d/sharded" && \
+	"$$d/experiments" -jobs 1 $(DETERMINISM_ARGS) > "$$d/serial" && \
+	"$$d/experiments" -jobs 2 $(DETERMINISM_ARGS) > "$$d/concurrent" && \
 	sed 's/(.*)$$//' "$$d/serial" > "$$d/serial.txt" && \
-	sed 's/(.*)$$//' "$$d/sharded" > "$$d/sharded.txt" && \
-	diff "$$d/serial.txt" "$$d/sharded.txt" && echo "determinism: -par/-jobs output identical"
+	sed 's/(.*)$$//' "$$d/concurrent" > "$$d/concurrent.txt" && \
+	diff "$$d/serial.txt" "$$d/concurrent.txt" && echo "determinism: -jobs 1/-jobs 2 output identical"
+
+# Repeat the tests of concurrent first use and shared state under the
+# race detector, so a test that passes only once per process, or a race
+# that shows only in some interleavings, fails here.
+stress:
+	$(GO) test -race -count=10 -run 'Singleflight|Concurrent' ./internal/...
 
 # Chaos: run every durable path's invariant suite under randomized
 # deterministic fault schedules (internal/faultfs). Environment knobs:

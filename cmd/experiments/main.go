@@ -7,7 +7,7 @@
 // Usage:
 //
 //	experiments [-matrices a,b,c] [-cgcap N] [-irmax N]
-//	            [-jobs N] [-par N] [-timeout D] [-cache dir] [-runs file]
+//	            [-jobs N] [-timeout D] [-cache dir] [-runs file]
 //	            [-instrument] [-svg dir] [-csv dir]
 //	            [-shadow] [-shadow-sample N] [-pprof addr] [ids...]
 //
@@ -45,7 +45,6 @@ import (
 
 	"positlab/internal/experiments"
 	"positlab/internal/faultfs"
-	"positlab/internal/linalg"
 	"positlab/internal/matgen"
 	"positlab/internal/runner"
 )
@@ -69,7 +68,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	svgDir := fs.String("svg", "", "also write each figure as SVG into this directory")
 	csvDir := fs.String("csv", "", "also write each experiment's rows as CSV into this directory")
 	jobs := fs.Int("jobs", 0, "concurrent experiment jobs (0 = GOMAXPROCS)")
-	par := fs.Int("par", 1, "in-solver workers for order-independent kernel loops (results are bit-identical for any value; shadow-sampled solves run serially)")
 	timeout := fs.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 	cacheDir := fs.String("cache", "", "on-disk result cache directory (empty = no cache)")
 	runsPath := fs.String("runs", "", "write a machine-readable runs.json report to this file")
@@ -88,12 +86,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *jobs < 0 {
 		return usage("-jobs must be >= 0, got %d", *jobs)
 	}
-	if *par < 1 {
-		return usage("-par must be >= 1, got %d", *par)
-	}
-	// Deterministic by construction: the sharded loops are
-	// order-independent, so -par changes scheduling, never bits.
-	linalg.SetWorkers(*par)
 	if *cgcap < 1 {
 		return usage("-cgcap must be >= 1, got %d", *cgcap)
 	}

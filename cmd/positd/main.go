@@ -7,7 +7,7 @@
 //
 //	positd [-addr :8787] [-max-inflight N] [-cache-entries N]
 //	       [-request-timeout D] [-drain-timeout D]
-//	       [-cache dir] [-jobs N] [-par N] [-instrument]
+//	       [-cache dir] [-jobs N] [-instrument]
 //	       [-jobs-dir dir] [-job-workers N] [-checkpoint-every N]
 //	       [-max-queued-jobs N]
 //	       [-matrices a,b,c] [-cgcap N] [-irmax N] [-quiet]
@@ -61,7 +61,6 @@ import (
 	"positlab/internal/experiments"
 	"positlab/internal/faultfs"
 	"positlab/internal/jobs"
-	"positlab/internal/linalg"
 	"positlab/internal/matgen"
 	"positlab/internal/runner"
 	"positlab/internal/service"
@@ -83,7 +82,6 @@ func run(argv []string, stderr io.Writer) int {
 	jobWorkers := fs.Int("job-workers", service.DefaultJobWorkers, "async job pool workers")
 	checkpointEvery := fs.Int("checkpoint-every", service.DefaultJobCheckpointEvery, "default solver-iteration cadence for journaling job checkpoints")
 	maxQueuedJobs := fs.Int("max-queued-jobs", service.DefaultMaxQueuedJobs, "queued-job backlog bound; submissions beyond it get 429")
-	par := fs.Int("par", 1, "in-solver workers for order-independent kernel loops")
 	instrument := fs.Bool("instrument", true, "count experiment arithmetic into job reports")
 	matrices := fs.String("matrices", "", "restrict the experiment suite to these matrices (comma-separated; default all 19)")
 	cgcap := fs.Int("cgcap", 10, "CG iteration cap as a multiple of N for experiments")
@@ -107,9 +105,6 @@ func run(argv []string, stderr io.Writer) int {
 	if *requestTimeout <= 0 {
 		return usage("-request-timeout must be > 0, got %v", *requestTimeout)
 	}
-	if *par < 1 {
-		return usage("-par must be >= 1, got %d", *par)
-	}
 	if *jobWorkers < 1 {
 		return usage("-job-workers must be >= 1, got %d", *jobWorkers)
 	}
@@ -119,7 +114,6 @@ func run(argv []string, stderr io.Writer) int {
 	if *maxQueuedJobs < 1 {
 		return usage("-max-queued-jobs must be >= 1, got %d", *maxQueuedJobs)
 	}
-	linalg.SetWorkers(*par)
 
 	opt := experiments.Options{CGCapFactor: *cgcap, IRMaxIter: *irmax}
 	if *matrices != "" {

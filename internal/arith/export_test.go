@@ -14,6 +14,15 @@ func TableBuildCount() uint64 { return tableBuilds.Load() }
 // PositTableSpec exposes the registry key of a posit config.
 func PositTableSpec(c posit.Config) string { return positSpec(c) }
 
+// ForgetTablesForTest deletes spec's registry entry, so the next first
+// use of a new format value of spec builds its tables again. A test
+// that counts builds calls it first, so it passes under -count=N too.
+func ForgetTablesForTest(spec string) {
+	tableReg.Lock()
+	delete(tableReg.m, spec)
+	tableReg.Unlock()
+}
+
 // BuildTablesForTest runs a from-scratch build of the tables behind a
 // table-backed fast format, bypassing the registry (the table-build
 // benchmarks time it).

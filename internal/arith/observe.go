@@ -154,9 +154,9 @@ func Observe(f Format, obs ...Observer) Format {
 }
 
 // Samples reports whether f is an observed format with a Sampler among
-// its observers. Which operations a Sampler selects follows the order
-// in which they reach it, so loops that shard rows across goroutines
-// run serially on such a format (see linalg.ParRows).
+// its observers. A Sampler counts the non-finite results it is handed,
+// so the Cholesky factor rescans a row for one on such a format before
+// it skips the row's update (see solvers.CholeskyCtx).
 func Samples(f Format) bool {
 	o, ok := f.(*observed)
 	return ok && o.sampling

@@ -272,14 +272,15 @@ func TestDivKernelInstrumented(t *testing.T) {
 	}
 }
 
-// TestTableRegistrySingleflight hammers the first use of a
-// fresh-to-this-process format from many goroutines, split across two
-// format values of the same spec: exactly one build must happen, both
-// values must share the same tables, every caller must see the same
-// results, and the run must be race-clean (asserted under -race in
-// make verify).
+// TestTableRegistrySingleflight forgets a spec's registry entry, then
+// hammers its first use from many goroutines, split across two format
+// values of the spec: exactly one build must happen, both values must
+// share the same tables, every caller must see the same results, and
+// the run must be race-clean (asserted under -race, and repeated by
+// make stress).
 func TestTableRegistrySingleflight(t *testing.T) {
 	c := posit.MustNew(12, 1) // no other test uses posit(12,1)
+	arith.ForgetTablesForTest(arith.PositTableSpec(c))
 	fs := [2]arith.Format{arith.FastPosit(c), arith.FastPosit(c)}
 	before := arith.TableBuildCount()
 	const workers = 24

@@ -249,17 +249,11 @@ func (s *Sparse) ToFormat(f arith.Format, clamp bool) *SparseNum {
 }
 
 // MatVec computes y = A·x in the matrix's format, rounding after every
-// multiply and add. Rows are independent sequential accumulations, so
-// they shard across the worker pool (see SetWorkers) with bit-identical
-// results for any worker count; within a row the accumulation stays
-// strictly left-to-right.
+// multiply and add. Each row accumulates strictly left-to-right.
 func (m *SparseNum) MatVec(x, y []arith.Num) {
 	checkLen(len(x), m.N)
 	checkLen(len(y), m.N)
-	bk := arith.BulkOf(m.F)
-	parRange(m.F, m.N, m.NNZ(), func(lo, hi int) {
-		bk.MatVecKernel(m.RowPtr[lo:hi+1], m.Col, m.Val, x, y[lo:hi])
-	})
+	arith.BulkOf(m.F).MatVecKernel(m.RowPtr, m.Col, m.Val, x, y)
 }
 
 // NNZ returns the stored nonzero count.

@@ -3,7 +3,6 @@ package service
 import (
 	"net/http"
 
-	"positlab/internal/arith"
 	"positlab/internal/shadow"
 )
 
@@ -57,20 +56,22 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	f, err := arith.ByName(req.Format)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	sreq := &solveRequest{
+		Matrix: req.Matrix, MatrixMarket: req.MatrixMarket, B: req.B,
+		Solver: req.Solver, Format: req.Format, Tol: req.Tol, MaxIter: req.MaxIter,
+	}
+	f, serr := validateSolve(sreq)
+	if serr != nil {
+		httpError(w, serr.status, serr.msg)
 		return
 	}
-	a, b, name, err := s.loadSystem(&solveRequest{
-		Matrix: req.Matrix, MatrixMarket: req.MatrixMarket, B: req.B,
-	})
+	a, b, name, err := s.loadSystem(sreq)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	rep, err := shadow.Diagnose(r.Context(), a, b, name, shadow.Options{
-		Solver:      req.Solver,
+		Solver:      sreq.Solver,
 		Format:      f,
 		Sample:      shadow.Config{SampleEvery: req.SampleEvery, TopK: req.TopK},
 		Tol:         req.Tol,

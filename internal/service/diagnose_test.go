@@ -93,10 +93,58 @@ func TestDiagnoseEndpointValidation(t *testing.T) {
 		"unknown matrix": `{"matrix":"nope","solver":"cg","format":"posit16es1"}`,
 		"unknown solver": `{"matrix":"bcsstk01","solver":"lu","format":"posit16es1"}`,
 		"no system":      `{"solver":"cg","format":"posit16es1"}`,
+		"negative tol":   `{"matrix":"bcsstk01","solver":"cg","format":"posit16es1","tol":-1}`,
+		"negative iters": `{"matrix":"bcsstk01","solver":"ir","format":"posit16es1","max_iter":-1}`,
+		"empty upload":   `{"matrix_market":"%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n","solver":"cg","format":"posit16es1"}`,
 	} {
 		resp := post(t, ts.URL+"/v1/diagnose", body)
 		if b := readBody(t, resp); resp.StatusCode != 400 {
 			t.Errorf("%s: status = %d, want 400 (%s)", name, resp.StatusCode, b)
 		}
+	}
+}
+
+// TestDiagnoseReportsOnEveryPath covers two reports that end early. A
+// system that is not positive definite even in float64 ends before the
+// format run, and its report still echoes the effective sampling
+// stride. A CG run whose tol x₀ = 0 already meets (tol ≥ 1) stops at
+// iteration 0, and its final residual is that of x = 0, which is 1.
+func TestDiagnoseReportsOnEveryPath(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	type report struct {
+		SampleEvery   int     `json:"sample_every"`
+		Iterations    int     `json:"iterations"`
+		Converged     bool    `json:"converged"`
+		Failed        bool    `json:"failed"`
+		FinalResidual float64 `json:"final_residual"`
+		Telemetry     struct {
+			SampleEvery int `json:"sample_every"`
+		} `json:"telemetry"`
+	}
+	diagnose := func(body string) report {
+		t.Helper()
+		resp := post(t, ts.URL+"/v1/diagnose", body)
+		b := readBody(t, resp)
+		if resp.StatusCode != 200 {
+			t.Fatalf("status = %d, body %s", resp.StatusCode, b)
+		}
+		var rep report
+		if err := json.Unmarshal([]byte(b), &rep); err != nil {
+			t.Fatalf("decode report: %v\n%s", err, b)
+		}
+		return rep
+	}
+
+	singular := "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 4\n"
+	rep := diagnose(mustJSON(t, map[string]any{"matrix_market": singular, "solver": "cholesky", "format": "posit16es1"}))
+	if !rep.Failed || rep.SampleEvery != 64 || rep.Telemetry.SampleEvery != 64 {
+		t.Errorf("reference breakdown: failed %v, sample_every %d, telemetry sample_every %d; want true, 64, 64",
+			rep.Failed, rep.SampleEvery, rep.Telemetry.SampleEvery)
+	}
+
+	rep = diagnose(`{"matrix":"bcsstk01","solver":"cg","format":"posit32es2","tol":2}`)
+	if rep.Iterations != 0 || !rep.Converged || rep.FinalResidual != 1 {
+		t.Errorf("tol 2: iterations %d, converged %v, final_residual %v; want 0, true, 1",
+			rep.Iterations, rep.Converged, rep.FinalResidual)
 	}
 }

@@ -155,6 +155,7 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"bad solver", `{"solve":{"matrix":"bcsstk01","solver":"qr","format":"float32"}}`},
 		{"bad format", `{"solve":{"matrix":"bcsstk01","solver":"cg","format":"float99"}}`},
 		{"bad system", `{"solve":{"matrix":"nope","solver":"cg","format":"float32"}}`},
+		{"negative tol", `{"solve":{"matrix":"bcsstk01","solver":"cg","format":"float32","tol":-1}}`},
 	}
 	for _, c := range cases {
 		resp := post(t, ts.URL+"/v1/jobs", c.body)

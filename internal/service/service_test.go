@@ -237,6 +237,7 @@ func TestSolveBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxMatrixN: 2})
 	asym := "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 4\n2 2 5\n1 2 1\n"
 	big := "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 4\n2 2 5\n3 3 6\n"
+	empty := "%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n"
 	cases := []struct {
 		name, body string
 	}{
@@ -248,6 +249,10 @@ func TestSolveBadRequests(t *testing.T) {
 		{"b length", `{"matrix":"bcsstk01","solver":"cg","format":"float32","b":[1,2]}`},
 		{"asymmetric upload", mustJSON(t, map[string]any{"matrix_market": asym, "solver": "cg", "format": "float32"})},
 		{"oversize matrix", mustJSON(t, map[string]any{"matrix_market": big, "solver": "cg", "format": "float32"})},
+		{"empty upload", mustJSON(t, map[string]any{"matrix_market": empty, "solver": "ir", "format": "float32"})},
+		{"negative tol cg", `{"matrix":"bcsstk01","solver":"cg","format":"float32","tol":-1}`},
+		{"negative tol ir", `{"matrix":"bcsstk01","solver":"ir","format":"float16","tol":-1}`},
+		{"negative max_iter", `{"matrix":"bcsstk01","solver":"cg","format":"float32","max_iter":-1}`},
 	}
 	for _, c := range cases {
 		resp := post(t, ts.URL+"/v1/solve", c.body)
@@ -255,6 +260,30 @@ func TestSolveBadRequests(t *testing.T) {
 		if resp.StatusCode != 400 {
 			t.Errorf("%s: status = %d, want 400 (body %s)", c.name, resp.StatusCode, body)
 		}
+	}
+}
+
+// TestSolveToleranceMetAtStart: a CG solve whose tol x₀ = 0 already
+// meets stops at iteration 0 and reports the residual of x = 0, which
+// is 1, rather than omitting it.
+func TestSolveToleranceMetAtStart(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp := post(t, ts.URL+"/v1/solve", `{"matrix":"bcsstk01","solver":"cg","format":"float32","tol":2}`)
+	body := readBody(t, resp)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	var out struct {
+		Iterations  int     `json:"iterations"`
+		Converged   bool    `json:"converged"`
+		RelResidual float64 `json:"rel_residual"`
+	}
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Iterations != 0 || !out.Converged || out.RelResidual != 1 {
+		t.Fatalf("iterations %d, converged %v, rel_residual %v; want 0, true, 1 (%s)",
+			out.Iterations, out.Converged, out.RelResidual, body)
 	}
 }
 

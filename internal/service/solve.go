@@ -114,8 +114,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // validateSolve resolves the request's format and solver names,
-// normalizing req.Solver. It is called both at HTTP time and at job
-// submission so bad specs are rejected before they are journaled.
+// normalizing req.Solver, and refuses a negative tol or max_iter: CG
+// squares tol into its threshold, so tol -1 would stop at x = 0. It is
+// called at HTTP time (solve and diagnose) and at job submission, so
+// bad specs are rejected before they are journaled.
 func validateSolve(req *solveRequest) (arith.Format, *solveError) {
 	f, err := arith.ByName(req.Format)
 	if err != nil {
@@ -127,6 +129,12 @@ func validateSolve(req *solveRequest) (arith.Format, *solveError) {
 	default:
 		return nil, &solveError{http.StatusBadRequest,
 			fmt.Sprintf("unknown solver %q (known: cg, cholesky, ir)", req.Solver)}
+	}
+	if req.Tol < 0 {
+		return nil, &solveError{http.StatusBadRequest, fmt.Sprintf("tol must be >= 0, got %g", req.Tol)}
+	}
+	if req.MaxIter < 0 {
+		return nil, &solveError{http.StatusBadRequest, fmt.Sprintf("max_iter must be >= 0, got %d", req.MaxIter)}
 	}
 	req.Solver = solver
 	return f, nil
@@ -266,6 +274,9 @@ func (s *Server) loadSystem(req *solveRequest) (*linalg.Sparse, []float64, strin
 		a, _, err := mmarket.Read(strings.NewReader(req.MatrixMarket))
 		if err != nil {
 			return nil, nil, "", fmt.Errorf("matrix_market: %v", err)
+		}
+		if a.N == 0 {
+			return nil, nil, "", fmt.Errorf("matrix_market: empty matrix (0×0)")
 		}
 		if a.N > s.cfg.MaxMatrixN {
 			return nil, nil, "", fmt.Errorf("matrix dimension %d exceeds the %d limit", a.N, s.cfg.MaxMatrixN)

@@ -250,6 +250,9 @@ func diagnoseCholesky(ctx context.Context, a *linalg.Sparse, b []float64, opt Op
 		scaling.RescaleSystemCholesky(a, b)
 	}
 	ad := a.ToDense()
+	// The wrapper exists before the reference run, so a report that
+	// ends there still carries its (empty) telemetry and stride.
+	sf, rec := Wrap(opt.Format, opt.Sample)
 
 	// Shadow-precision factorization and solve in Float64.
 	f64 := arith.Float64
@@ -261,6 +264,7 @@ func diagnoseCholesky(ctx context.Context, a *linalg.Sparse, b []float64, opt Op
 		// Not positive definite even at shadow precision: the request
 		// is unsolvable, which is a diagnosis, not a server error.
 		rep.Failed = true
+		rep.Telemetry = rec.Snapshot()
 		return nil
 	}
 	xRef := linalg.VecToFloat64(f64,
@@ -268,7 +272,6 @@ func diagnoseCholesky(ctx context.Context, a *linalg.Sparse, b []float64, opt Op
 	rep.ShadowFinalResidual = Float(solvers.BackwardError(a, b, xRef))
 
 	// Format factorization under the shadow wrapper.
-	sf, rec := Wrap(opt.Format, opt.Sample)
 	rec.SetLabel("factor")
 	rFmt, err := solvers.CholeskyCtx(ctx, ad.ToFormat(sf, false))
 	if err != nil {

@@ -125,8 +125,8 @@ type OpSample struct {
 // an atomic counter and measured samples are folded in under a mutex
 // (sampled operations only, so contention scales with the sampling
 // rate, not the op rate). Which operations it samples follows the
-// order they reach it, which is why sharded solver loops run serially
-// on a format it observes (arith.Samples).
+// order they reach it; every solver loop runs serially in its caller's
+// goroutine, so for one solve that order is fixed.
 type Recorder struct {
 	cfg    Config
 	f      arith.Format

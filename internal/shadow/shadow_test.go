@@ -1,7 +1,6 @@
 package shadow_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -11,7 +10,6 @@ import (
 
 	"positlab/internal/arith"
 	"positlab/internal/linalg"
-	"positlab/internal/matgen"
 	"positlab/internal/shadow"
 	"positlab/internal/solvers"
 )
@@ -437,43 +435,6 @@ func TestGauges(t *testing.T) {
 	}
 	if float64(gs.MaxRel) <= 0 {
 		t.Errorf("max rel = %g, want > 0", float64(gs.MaxRel))
-	}
-}
-
-// TestDiagnoseWorkerCountInvariant: which operations the shadow
-// samples must not depend on how the solver loops are sharded, so a
-// diagnosis's telemetry is byte-identical at every in-solver worker
-// count, run after run. At two workers the Cholesky trailing update
-// shards on nos5 and the CG matvec on plat362.
-func TestDiagnoseWorkerCountInvariant(t *testing.T) {
-	prev := linalg.SetWorkers(1)
-	defer linalg.SetWorkers(prev)
-	for _, c := range []struct{ matrix, solver string }{{"nos5", "cholesky"}, {"plat362", "cg"}} {
-		tgt, err := matgen.TargetByName(c.matrix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys := matgen.Generate(tgt)
-		var want []byte
-		for run, workers := range []int{1, 2, 2, 2} {
-			linalg.SetWorkers(workers)
-			rep, err := shadow.Diagnose(context.Background(), sys.A, sys.B, c.matrix, shadow.Options{
-				Solver: c.solver, Format: arith.Posit16e1, Rescale: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := json.Marshal(rep.Telemetry)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if run == 0 {
-				want = got
-			} else if !bytes.Equal(got, want) {
-				t.Fatalf("%s %s run %d at %d workers: telemetry differs from 1 worker\ngot:  %s\nwant: %s",
-					c.matrix, c.solver, run, workers, got, want)
-			}
-		}
 	}
 }
 

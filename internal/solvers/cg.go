@@ -103,14 +103,12 @@ func CGCheckpointed(ctx context.Context, a *linalg.SparseNum, b []arith.Num, tol
 			res.X = linalg.VecToFloat64(f, x)
 			return res, nil
 		}
-		if f.ToFloat64(rr) <= thresh {
-			res.Converged = true
-			res.X = linalg.VecToFloat64(f, x)
-			return res, nil
-		}
+		// x₀ = 0 may already meet tol (tol ≥ 1, or b = 0): no
+		// iteration runs, and the residual is reported below.
+		res.Converged = f.ToFloat64(rr) <= thresh
 	}
 
-	for k := start; k < maxIter; k++ {
+	for k := start; k < maxIter && !res.Converged; k++ {
 		if err := ctx.Err(); err != nil {
 			res.X = linalg.VecToFloat64(f, x)
 			return res, err

@@ -29,9 +29,7 @@ var ErrNotPositiveDefinite = errors.New("solvers: matrix not positive definite i
 // subtraction chain, in the same k-order, as the classic left-looking
 // dot-product form, so results are bit-identical to the scalar
 // reference (asserted by the differential tests) — but the inner loops
-// run over contiguous rows with batched dispatch, and the
-// trailing-update rows are independent, so they shard across the
-// linalg worker pool deterministically.
+// run over contiguous rows with batched dispatch.
 //
 // A row whose multiplier R[j][i] is ±0 is skipped, so the cost follows
 // the factor's nonzeros. Every R[j][l] is finite by then, so each
@@ -75,7 +73,6 @@ func CholeskyCtx(ctx context.Context, a *linalg.DenseNum) (*linalg.DenseNum, err
 	if arith.Samples(f) {
 		dirty = make([]bool, n)
 	}
-	kern := make([]bool, n) // the rows of step j's update that reach the kernel
 
 	for j := 0; j < n; j++ {
 		if err := ctx.Err(); err != nil {
@@ -102,9 +99,10 @@ func CholeskyCtx(ctx context.Context, a *linalg.DenseNum) (*linalg.DenseNum, err
 			return nil, ErrNotPositiveDefinite
 		}
 		// Trailing update: W[i][i:] ← W[i][i:] − R[j][i]·R[j][i:] for
-		// every i > j that reaches the kernel. Rows are independent
-		// chains; shard them by the elements the kernel updates.
-		work := 0
+		// every i > j that reaches the kernel. The kernel call for row i
+		// writes row i only, so row i's rescan sees the row as it was
+		// before step j.
+		var skipped uint64 // operations of the current run of skipped rows
 		for i := j + 1; i < n; i++ {
 			k := pinned[i] || !f.IsZero(rj[i])
 			if !k && dirty != nil && dirty[i] {
@@ -112,27 +110,18 @@ func CholeskyCtx(ctx context.Context, a *linalg.DenseNum) (*linalg.DenseNum, err
 				pinned[i] = linalg.HasBad(f, r.Row(i)[i:])
 				k = pinned[i]
 			}
-			if k {
-				work += n - i
-				if dirty != nil {
-					dirty[i] = true
-				}
+			if !k {
+				skipped += uint64(n - i)
+				continue
 			}
-			kern[i] = k
-		}
-		linalg.ParRows(f, n-(j+1), work, func(lo, hi int) {
-			var skipped uint64 // operations of the current run of skipped rows
-			for i := j + 1 + lo; i < j+1+hi; i++ {
-				if !kern[i] {
-					skipped += uint64(n - i)
-					continue
-				}
-				arith.ObserveExact(f, "trailing", arith.OpMulAdd, skipped)
-				skipped = 0
-				bk.TrailingUpdateKernel(f.Neg(rj[i]), rj[i:], r.Row(i)[i:])
+			if dirty != nil {
+				dirty[i] = true
 			}
 			arith.ObserveExact(f, "trailing", arith.OpMulAdd, skipped)
-		})
+			skipped = 0
+			bk.TrailingUpdateKernel(f.Neg(rj[i]), rj[i:], r.Row(i)[i:])
+		}
+		arith.ObserveExact(f, "trailing", arith.OpMulAdd, skipped)
 	}
 	return r, nil
 }

@@ -208,51 +208,3 @@ func TestCholeskySignedZeroGrid(t *testing.T) {
 		}
 	}
 }
-
-// TestCholeskyParallelDeterminism asserts the factor is bit-identical
-// for worker counts 1, 2, and 8 at a size where the trailing-update
-// sharding genuinely engages (first columns carry ~n²/2 elements of
-// trailing work).
-func TestCholeskyParallelDeterminism(t *testing.T) {
-	prev := linalg.Workers()
-	defer linalg.SetWorkers(prev)
-	n := 240
-	if testing.Short() {
-		n = 120
-	}
-	d := spdDense(n)
-	for _, f := range []arith.Format{arith.Posit32e2, arith.Float32} {
-		a := d.ToFormat(f, true)
-		var ref *linalg.DenseNum
-		for _, w := range []int{1, 2, 8} {
-			linalg.SetWorkers(w)
-			r, err := solvers.Cholesky(a)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", f.Name(), w, err)
-			}
-			if ref == nil {
-				ref = r
-				continue
-			}
-			for i := range r.A {
-				if r.A[i] != ref.A[i] {
-					t.Fatalf("%s: factor with %d workers differs at flat index %d", f.Name(), w, i)
-				}
-			}
-		}
-	}
-	// Sanity: the factor is a real Cholesky factor of the rounded input.
-	fe := solvers.FactorizationError(d, mustChol(t, d.ToFormat(arith.Float64, false)))
-	if fe > 1e-13 {
-		t.Fatalf("float64 factorization error = %g", fe)
-	}
-}
-
-func mustChol(t *testing.T, a *linalg.DenseNum) *linalg.DenseNum {
-	t.Helper()
-	r, err := solvers.Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}

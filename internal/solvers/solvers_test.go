@@ -69,6 +69,14 @@ func TestCGExactStart(t *testing.T) {
 	if !res.Converged || res.Iterations != 0 {
 		t.Fatalf("zero rhs: %+v", res)
 	}
+	// tol ≥ 1 means x = 0 meets the stopping test for any b, and the
+	// reported residual is that of x = 0: ‖b‖/‖b‖ = 1.
+	_, b := onesRHS(a)
+	res = solvers.CG(an, linalg.VecFromFloat64(f, b), 2, 100)
+	if !res.Converged || res.Iterations != 0 || res.RelResidual != 1 {
+		t.Fatalf("tol 2: converged %v after %d iterations, residual %g; want true, 0, 1",
+			res.Converged, res.Iterations, res.RelResidual)
+	}
 }
 
 func TestCGFailurePath(t *testing.T) {
