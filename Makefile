@@ -1,14 +1,14 @@
 # Developer entry points. `make verify` is the repo's gate: gofmt,
-# vet, build, the inline guard, the positlint static-analysis suite, the
-# full test suite, a race-detector pass over every package, the
-# runner-jobs determinism check, and a repeated race pass over the
-# concurrent-use tests.
+# vet, build, the inline guard, the arm64 fused-multiply-add guard, the
+# positlint static-analysis suite, the full test suite, a race-detector
+# pass over every package, the runner-jobs determinism check, and a
+# repeated race pass over the concurrent-use tests.
 
 GO ?= go
 
-.PHONY: verify fmt vet build inline lint test race determinism stress serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
+.PHONY: verify fmt vet build inline fma lint test race determinism stress serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
 
-verify: fmt vet build inline lint test race determinism stress
+verify: fmt vet build inline fma lint test race determinism stress
 
 # Fail, naming the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -31,6 +31,22 @@ inline:
 		echo "$$out" | grep -qE "can inline $$fn( |$$)" || \
 			{ echo "internal/arith: $$fn is no longer inlinable (go build -gcflags=-m)"; exit 1; }; \
 	done
+
+# Fail, naming the line, when the arm64 compiler fuses a multiply and
+# an add whose source line has no math.FMA call. The Go spec lets
+# arm64 (unlike amd64) fuse x*y + z into one FMA unless the product is
+# converted explicitly, float64(x*y), and the fused result rounds
+# differently. FMA_PKGS are the packages kept free of such lines.
+FMA_PKGS := ./internal/arith ./internal/shadow
+
+fma:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \
+	bad=0; \
+	for loc in $$(echo "$$out" | grep -E '\bFN?M(ADD|SUB)[DS]\b' | sed -E 's/^[^(]*\(([^)]*)\).*/\1/' | sort -u); do \
+		src=$$(sed -n "$${loc##*:}p" "$${loc%:*}"); \
+		case "$$src" in *math.FMA\(*) ;; *) echo "$$loc: fused multiply-add without math.FMA: $$src"; bad=1 ;; esac; \
+	done; \
+	exit $$bad
 
 # positlint: the repo-specific analyzers (precision laundering,
 # deterministic output, lock hygiene, error discipline, panic

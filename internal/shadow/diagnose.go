@@ -371,14 +371,17 @@ func diagnoseIR(ctx context.Context, a *linalg.Sparse, b []float64, opt Options,
 }
 
 // --- float64-only metric helpers ---
+//
+// Their products are converted explicitly (float64(d * d)), so no
+// architecture fuses one into an FMA and changes a metric's bits.
 
 // relDist is ‖x − ref‖₂/‖ref‖₂ (absolute when ref is zero).
 func relDist(x, ref []float64) float64 {
 	var num, den float64
 	for i := range x {
 		d := x[i] - ref[i]
-		num += d * d
-		den += ref[i] * ref[i]
+		num += float64(d * d)
+		den += float64(ref[i] * ref[i])
 	}
 	num = math.Sqrt(num)
 	if den == 0 {
@@ -393,7 +396,7 @@ func trueResidual(a *linalg.Sparse, b, x, scratch []float64, normB float64) floa
 	var s float64
 	for i := range scratch {
 		d := b[i] - scratch[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	r := math.Sqrt(s)
 	if normB == 0 {
@@ -412,8 +415,8 @@ func columnDiags(rf, ref *linalg.Dense) []ColumnDiag {
 		var num, den float64
 		for i := 0; i <= j; i++ {
 			d := rf.At(i, j) - ref.At(i, j)
-			num += d * d
-			den += ref.At(i, j) * ref.At(i, j)
+			num += float64(d * d)
+			den += float64(ref.At(i, j) * ref.At(i, j))
 		}
 		e := math.Sqrt(num)
 		if den > 0 {

@@ -10,8 +10,11 @@ package shadow
 // are exact in binary64 and every other reference operation is
 // correctly rounded at 2^-53, four-plus orders of magnitude below the
 // smallest format ulp being measured. Wider formats (posit32*,
-// float32, float64 itself) use 256-bit big.Float arithmetic so the
-// reference stays far beyond the measured precision.
+// float32, float64 itself) use the 256-bit engine, whose reference
+// stays far beyond the measured precision. It answers add, sub, mul
+// and mul-add exactly in float64 when it can prove the result equals
+// the 256-bit one (fastMeasure, fastref.go) and computes in 256-bit
+// big.Float otherwise (bigMeasure).
 
 import (
 	"math"
@@ -48,7 +51,7 @@ func engineFor(f arith.Format) refEngine {
 }
 
 // widthOf returns the format's encoding width in bits (64 for unknown
-// formats, which conservatively selects the big.Float engine).
+// formats, which conservatively selects the 256-bit engine).
 func widthOf(f arith.Format) int {
 	if c, ok := arith.PositConfig(f); ok {
 		return c.N()
@@ -111,7 +114,7 @@ func relErr(got, ref float64) float64 {
 	return d / math.Abs(ref)
 }
 
-// --- 256-bit big.Float engine ---
+// --- 256-bit engine: fastMeasure, then big.Float ---
 
 type bigEngine struct{}
 
@@ -128,6 +131,15 @@ func bf(x float64) *big.Float {
 }
 
 func (bigEngine) measure(op arith.Op, a, b, c, got float64) (float64, float64, bool) {
+	if ref, rel, ok := fastMeasure(op, a, b, c, got); ok {
+		return ref, rel, true
+	}
+	return bigMeasure(op, a, b, c, got)
+}
+
+// bigMeasure is the engine's 256-bit big.Float computation: the
+// fallback of fastMeasure and the oracle its tests compare against.
+func bigMeasure(op arith.Op, a, b, c, got float64) (float64, float64, bool) {
 	z := new(big.Float).SetPrec(bigPrec)
 	switch op {
 	case arith.OpAdd:

@@ -9,7 +9,9 @@
 // but a configurable fraction of operations is *measured*: the same
 // operands are re-evaluated in the reference precision (float64 for
 // formats of 16 bits or fewer, whose products and sums are exact in
-// binary64; 256-bit big.Float above that) and the format result's
+// binary64; 256 bits above that, computed exactly in float64 for add,
+// sub, mul and mul-add where a filter proves the result equal, and in
+// big.Float otherwise) and the format result's
 // relative error and ulp error are accumulated into log2-bucketed
 // histograms keyed by operation kind and call-site label. A bounded
 // top-K heap retains the worst individual operations with their

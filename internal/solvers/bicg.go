@@ -57,8 +57,11 @@ func BiCG(a *linalg.SparseNum, b []arith.Num, tol float64, maxIter int) BiCGResu
 		res.X = linalg.VecToFloat64(f, x)
 		return res
 	}
-	if f.ToFloat64(linalg.Dot(f, r, r)) <= thresh {
+	if rr := f.ToFloat64(linalg.Dot(f, r, r)); rr <= thresh {
+		// x₀ = 0 already meets tol (tol ≥ 1, or b = 0): its residual
+		// is ‖b‖/‖b‖ = 1, or 0 when b = 0.
 		res.Converged = true
+		res.RelResidual = safeRatioSqrt(rr, normB2) //lint:allow xprecision RelResidual is a float64 reporting metric, not iteration state
 		res.X = linalg.VecToFloat64(f, x)
 		return res
 	}

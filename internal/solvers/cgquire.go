@@ -78,7 +78,12 @@ func (m *CGQuire) Solve(b []posit.Bits, tol float64, maxIter int) CGResult {
 		return res
 	}
 	if c.ToFloat64(rr) <= thresh {
+		// x₀ = 0 already meets tol (tol ≥ 1, or b = 0): its residual
+		// is ‖b‖/‖b‖ = 1, or 0 when b = 0.
 		res.Converged = true
+		if normB2 > 0 {
+			res.RelResidual = sqrtf(c.ToFloat64(rr) / normB2)
+		}
 		res.X = toFloat64s(c, x)
 		return res
 	}

@@ -51,8 +51,13 @@ func PCG(a *linalg.SparseNum, diag []arith.Num, b []arith.Num, tol float64, maxI
 		res.X = linalg.VecToFloat64(f, x)
 		return res
 	}
-	if f.ToFloat64(linalg.Dot(f, r, r)) <= thresh {
+	if rr := f.ToFloat64(linalg.Dot(f, r, r)); rr <= thresh {
+		// x₀ = 0 already meets tol (tol ≥ 1, or b = 0): its residual
+		// is ‖b‖/‖b‖ = 1, or 0 when b = 0.
 		res.Converged = true
+		if normB2 > 0 {
+			res.RelResidual = sqrtf(rr / normB2)
+		}
 		res.X = linalg.VecToFloat64(f, x)
 		return res
 	}

@@ -6,6 +6,7 @@ import (
 
 	"positlab/internal/arith"
 	"positlab/internal/linalg"
+	"positlab/internal/posit"
 	"positlab/internal/solvers"
 )
 
@@ -76,6 +77,32 @@ func TestCGExactStart(t *testing.T) {
 	if !res.Converged || res.Iterations != 0 || res.RelResidual != 1 {
 		t.Fatalf("tol 2: converged %v after %d iterations, residual %g; want true, 0, 1",
 			res.Converged, res.Iterations, res.RelResidual)
+	}
+}
+
+// BiCG, PCG and quire CG report the residual of x = 0, as CG does,
+// when x₀ = 0 already meets tol.
+func TestExactStartVariants(t *testing.T) {
+	a := laplacian1D(10)
+	f, c := arith.Float64, posit.Posit32e2
+	_, b := onesRHS(a)
+	bicg := solvers.BiCG(a.ToFormat(f, false), linalg.VecFromFloat64(f, b), 2, 100)
+	pcg := solvers.PCG(a.ToFormat(f, false), diagOf(f, a), linalg.VecFromFloat64(f, b), 2, 100)
+	quire := newQuireSolver(c, a).Solve(positRHS(c, b), 2, 100)
+	for _, r := range []struct {
+		name      string
+		converged bool
+		iters     int
+		rel       float64
+	}{
+		{"BiCG", bicg.Converged, bicg.Iterations, bicg.RelResidual},
+		{"PCG", pcg.Converged, pcg.Iterations, pcg.RelResidual},
+		{"CGQuire", quire.Converged, quire.Iterations, quire.RelResidual},
+	} {
+		if !r.converged || r.iters != 0 || r.rel != 1 {
+			t.Errorf("%s, tol 2: converged %v after %d iterations, residual %g; want true, 0, 1",
+				r.name, r.converged, r.iters, r.rel)
+		}
 	}
 }
 
