@@ -119,10 +119,9 @@ var (
 )
 
 // suite returns the requested matrices (all of Table I when names is
-// nil), generating each at most once per process. Generation includes
-// the condition-number calibration passes, so caching matters — and
-// the per-name singleflight keeps parallel experiment jobs from
-// serializing on one global lock while unrelated matrices generate.
+// nil), generating each at most once per process. The per-name
+// singleflight keeps parallel experiment jobs from serializing on one
+// global lock while unrelated matrices generate.
 func suite(names []string) []*matgen.Matrix {
 	if names == nil {
 		for _, t := range matgen.TableI {

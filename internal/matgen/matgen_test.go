@@ -2,6 +2,7 @@ package matgen_test
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"positlab/internal/linalg"
@@ -24,6 +25,32 @@ func TestTableIComplete(t *testing.T) {
 			t.Errorf("seed %d reused by %s and %s", tgt.Seed, prev, tgt.Name)
 		}
 		seen[tgt.Seed] = tgt.Name
+		// A recorded calibration keeps the suite from calibrating at
+		// run time.
+		if tgt.Sweeps < 1 || !(tgt.RatioAdjust > 0) || math.IsInf(tgt.RatioAdjust, 1) {
+			t.Errorf("%s: calibration (Sweeps %d, RatioAdjust %v) not recorded", tgt.Name, tgt.Sweeps, tgt.RatioAdjust)
+		}
+	}
+}
+
+// TestTableICalibration re-derives every Table I target's calibration
+// and requires the recorded Sweeps and RatioAdjust bit for bit, since
+// Generate builds each replica from them. Under the race detector only
+// the targets with N <= 250 run: Calibrate is single-goroutine
+// arithmetic, which the detector has nothing to check.
+func TestTableICalibration(t *testing.T) {
+	for _, tgt := range matgen.TableI {
+		t.Run(tgt.Name, func(t *testing.T) {
+			if raceEnabled && tgt.N > 250 {
+				t.Skipf("N = %d; the race pass checks N <= 250 only", tgt.N)
+			}
+			t.Parallel()
+			sweeps, adjust := matgen.Calibrate(tgt)
+			if sweeps != tgt.Sweeps || math.Float64bits(adjust) != math.Float64bits(tgt.RatioAdjust) {
+				t.Errorf("%s: Calibrate = (%d, %v), recorded (%d, %v); record\n\tSweeps: %d, RatioAdjust: %s",
+					tgt.Name, sweeps, adjust, tgt.Sweeps, tgt.RatioAdjust, sweeps, strconv.FormatFloat(adjust, 'g', -1, 64))
+			}
+		})
 	}
 }
 
