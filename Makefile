@@ -1,14 +1,16 @@
 # Developer entry points. `make verify` is the repo's gate: gofmt,
 # vet, build, the inline guard, the arm64 fused-multiply-add guard, the
-# positlint static-analysis suite, the full test suite, a race-detector
-# pass over every package, the runner-jobs determinism check, and a
-# repeated race pass over the concurrent-use tests.
+# host-independence check (the suite and results with the CPU's FMA
+# switched off), the positlint static-analysis suite, the full test
+# suite, a race-detector pass over every package, the runner-jobs
+# determinism check, and a repeated race pass over the concurrent-use
+# tests.
 
 GO ?= go
 
-.PHONY: verify fmt vet build inline fma lint test race determinism stress serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
+.PHONY: verify fmt vet build inline fma nofma lint test race determinism stress serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
 
-verify: fmt vet build inline fma lint test race determinism stress
+verify: fmt vet build inline fma nofma lint test race determinism stress
 
 # Fail, naming the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -37,7 +39,7 @@ inline:
 # arm64 (unlike amd64) fuse x*y + z into one FMA unless the product is
 # converted explicitly, float64(x*y), and the fused result rounds
 # differently. FMA_PKGS are the packages kept free of such lines.
-FMA_PKGS := ./internal/arith ./internal/shadow
+FMA_PKGS := ./internal/arith ./internal/matgen ./internal/shadow
 
 fma:
 	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \
@@ -47,6 +49,21 @@ fma:
 		case "$$src" in *math.FMA\(*) ;; *) echo "$$loc: fused multiply-add without math.FMA: $$src"; bad=1 ;; esac; \
 	done; \
 	exit $$bad
+
+# Fail when the generated suite or the results depend on whether the
+# host CPU has FMA: on amd64, GODEBUG=cpu.fma=off makes the test
+# binaries run as on a CPU without it (math.Exp's other branch,
+# math.FMA in software), and the suite fingerprints, the golden suite
+# files and the result rows must not move. -exec hands GODEBUG to the
+# test binaries only. Other architectures have no such switch.
+NOFMA_TESTS := TestSuiteFingerprint|TestGoldenSuiteFiles|TestExpFMAPath|TestResultsByteIdentical
+
+nofma:
+	@arch=$$($(GO) env GOARCH); if [ "$$arch" = amd64 ]; then \
+		$(GO) test -count=1 -exec 'env GODEBUG=cpu.fma=off' -run '$(NOFMA_TESTS)' ./internal/matgen/ ./internal/experiments/; \
+	else \
+		echo "nofma: skipped on $$arch (GODEBUG=cpu.fma=off switches an amd64 CPU feature)"; \
+	fi
 
 # positlint: the repo-specific analyzers (precision laundering,
 # deterministic output, lock hygiene, error discipline, panic

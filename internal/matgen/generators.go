@@ -76,7 +76,7 @@ func ConvectionDiffusion1D(n int, peclet float64) (*linalg.Sparse, error) {
 		return nil, fmt.Errorf("matgen: negative Peclet number %g", peclet)
 	}
 	h := 1.0 / float64(n+1)
-	c := 2 * peclet * h
+	c := float64(2 * peclet * h)
 	var entries []linalg.Entry
 	for i := 0; i < n; i++ {
 		entries = append(entries, linalg.Entry{Row: i, Col: i, Val: 2 + c})
@@ -105,7 +105,7 @@ func Diagonal(n int, cond, norm2 float64, seed uint64) (*linalg.Sparse, error) {
 		if n > 1 {
 			f = float64(i) / float64(n-1)
 		}
-		v := math.Exp(logMin + (logMax-logMin)*f)
+		v := exp(logMin + float64((logMax-logMin)*f))
 		if i == 0 {
 			v = norm2 / cond
 		}
