@@ -15,10 +15,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/golden/*.json from the current diagnoses")
 
-// TestGoldenTelemetry pins the report bytes of four wide-format
-// diagnoses of the checked-in bcsstk01 replica, wall_ms zeroed. Every
-// format here is measured by the 256-bit reference, so any change to
-// how it computes ref or rel must leave these files unchanged.
+// TestGoldenTelemetry pins the report bytes of six diagnoses of the
+// checked-in bcsstk01 replica, wall_ms zeroed. The wide formats are
+// measured by the 256-bit reference, so any change to how it computes
+// ref or rel must leave these files unchanged; the two Higham-scaled
+// refinements pin the ir path, posit16es1 at the default stride (the
+// paper-16bit benchmark probe) against the float64 reference.
 // Regenerate with `go test -run GoldenTelemetry -update` only for a
 // change meant to move the telemetry.
 func TestGoldenTelemetry(t *testing.T) {
@@ -30,11 +32,14 @@ func TestGoldenTelemetry(t *testing.T) {
 	cases := []struct {
 		file string
 		opt  shadow.Options
+		ref  string // the reference engine the format gets
 	}{
-		{"cg-posit32es2-rescaled", shadow.Options{Solver: "cg", Format: arith.Posit32e2, Rescale: true, Sample: full}},
-		{"cholesky-posit32es3", shadow.Options{Solver: "cholesky", Format: arith.Posit32e3, Sample: full}},
-		{"cg-float32", shadow.Options{Solver: "cg", Format: arith.Float32}},
-		{"cholesky-float64", shadow.Options{Solver: "cholesky", Format: arith.Float64, Sample: full}},
+		{"cg-posit32es2-rescaled", shadow.Options{Solver: "cg", Format: arith.Posit32e2, Rescale: true, Sample: full}, "bigfp256"},
+		{"cholesky-posit32es3", shadow.Options{Solver: "cholesky", Format: arith.Posit32e3, Sample: full}, "bigfp256"},
+		{"cg-float32", shadow.Options{Solver: "cg", Format: arith.Float32}, "bigfp256"},
+		{"cholesky-float64", shadow.Options{Solver: "cholesky", Format: arith.Float64, Sample: full}, "bigfp256"},
+		{"ir-posit16es1-higham", shadow.Options{Solver: "ir", Format: arith.Posit16e1, Higham: true}, "float64"},
+		{"ir-posit32es2-higham", shadow.Options{Solver: "ir", Format: arith.Posit32e2, Higham: true, Sample: full}, "bigfp256"},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
@@ -42,8 +47,8 @@ func TestGoldenTelemetry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Telemetry.Reference != "bigfp256" {
-				t.Fatalf("reference %q, want bigfp256", rep.Telemetry.Reference)
+			if rep.Telemetry.Reference != c.ref {
+				t.Fatalf("reference %q, want %s", rep.Telemetry.Reference, c.ref)
 			}
 			rep.WallMS = 0
 			got, err := rep.JSON()
