@@ -300,11 +300,12 @@ func init() {
 }
 
 // ByName resolves a format by name: "float64", "float32", "float16",
-// "bfloat16", or "posit<N>es<ES>" (e.g. "posit32es2"). Names are
-// case-insensitive; "posit(32,2)" is accepted as an alias.
+// "bfloat16", "fp8e5m2", "fp8e4m3", or "posit<N>es<ES>" (e.g.
+// "posit32es2"). Names are case-insensitive, and every format's own
+// Name() is accepted too: "posit(32,2)" and "FP8-E4M3" are aliases.
 func ByName(name string) (Format, error) {
 	key := strings.ToLower(strings.TrimSpace(name))
-	key = strings.NewReplacer("(", "", ")", "", ",", "es", " ", "").Replace(key)
+	key = strings.NewReplacer("(", "", ")", "", ",", "es", " ", "", "-", "").Replace(key)
 	if f, ok := registry[key]; ok {
 		return f, nil
 	}

@@ -103,6 +103,17 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestByNameRoundTrip: every registered format's display name resolves
+// back to the same format, as shadow.Diagnose resolves its format.
+func TestByNameRoundTrip(t *testing.T) {
+	for _, name := range arith.Names() {
+		f := arith.MustByName(name)
+		if g, err := arith.ByName(f.Name()); err != nil || g != f {
+			t.Errorf("%s: ByName(%q) = %v, %v; want the registered format", name, f.Name(), g, err)
+		}
+	}
+}
+
 func TestConvertAndClamp(t *testing.T) {
 	// posit32 value 1e10 converts to Float16 as clamped max.
 	p := arith.Posit32e2.FromFloat64(1e10)

@@ -1,14 +1,19 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"positlab/internal/arith"
 	"positlab/internal/core"
 	"positlab/internal/linalg"
 	"positlab/internal/matgen"
 	"positlab/internal/mmarket"
+	"positlab/internal/solvers"
 )
 
 func testProblem(t *testing.T) core.Problem {
@@ -49,34 +54,22 @@ func TestSolveAllMethodsAndFormats(t *testing.T) {
 		}
 	}
 	for _, format := range []string{"float16", "posit16es1", "posit16es2", "bfloat16"} {
-		for _, method := range []core.Method{core.MethodMixedIR, core.MethodGMRESIR} {
-			sol, err := core.Solve(p, core.Config{Format: format, Method: method})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", format, method, err)
-			}
-			if !sol.Converged || sol.BackwardError > 1e-12 {
-				t.Fatalf("%s/%v: %+v", format, method, sol)
-			}
+		sol, err := core.Solve(p, core.Config{Format: format, Method: core.MethodMixedIR})
+		if err != nil {
+			t.Fatalf("%s/ir: %v", format, err)
 		}
-	}
-	// The ablation solvers through the facade.
-	for _, method := range []core.Method{core.MethodPCG, core.MethodLDLT} {
-		sol, err := core.Solve(p, core.Config{Format: "posit32es2", Method: method})
-		if err != nil || !sol.Converged {
-			t.Fatalf("posit32/%v: %v %+v", method, err, sol)
-		}
-		if sol.BackwardError > 1e-4 {
-			t.Fatalf("posit32/%v: backward error %g", method, sol.BackwardError)
+		if !sol.Converged || sol.BackwardError > 1e-12 {
+			t.Fatalf("%s/ir: %+v", format, sol)
 		}
 	}
 }
 
 func TestMethodStrings(t *testing.T) {
 	for m, want := range map[core.Method]string{
-		core.MethodCG:      "cg",
-		core.MethodPCG:     "pcg",
-		core.MethodLDLT:    "ldlt",
-		core.MethodGMRESIR: "gmres-ir",
+		core.MethodCG:       "cg",
+		core.MethodCholesky: "cholesky",
+		core.MethodMixedIR:  "ir",
+		core.Method(99):     "method(99)",
 	} {
 		if m.String() != want {
 			t.Errorf("method %d = %q, want %q", int(m), m.String(), want)
@@ -136,6 +129,18 @@ func TestSolveErrors(t *testing.T) {
 	if _, err := core.Solve(core.Problem{}, core.Config{Format: "float64"}); err == nil {
 		t.Error("empty problem must error")
 	}
+	// A negative tol would stop CG at x = 0 as converged; a negative
+	// cap would report -1 refinement steps.
+	for _, cfg := range []core.Config{
+		{Format: "float64", Method: core.MethodCG, Tol: -1},
+		{Format: "float64", Method: core.MethodCG, MaxIter: -1},
+		{Format: "float16", Method: core.MethodMixedIR, Tol: -1},
+		{Format: "float16", Method: core.MethodMixedIR, MaxIter: -1},
+	} {
+		if sol, err := core.Solve(p, cfg); err == nil {
+			t.Errorf("%+v accepted: %+v", cfg, sol)
+		}
+	}
 	// Out-of-range Float16 direct factorization fails loudly.
 	m := matgen.Generate(mustTarget(t, "bcsstk01"))
 	if _, err := core.Solve(core.Problem{A: m.A, B: m.B}, core.Config{Format: "float16", Method: core.MethodMixedIR}); err == nil {
@@ -144,6 +149,92 @@ func TestSolveErrors(t *testing.T) {
 	// Wrong rhs length.
 	if _, err := core.ProblemFromEntries(2, []linalg.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1}}, []float64{1}); err == nil {
 		t.Error("bad rhs length must error")
+	}
+}
+
+// TestParseConfig maps served names to configs: solver names in any
+// case and spacing, each solver's own rescaling, and the same
+// validation SolveCtx applies.
+func TestParseConfig(t *testing.T) {
+	for _, c := range []struct {
+		solver          string
+		rescale, higham bool
+		want            core.Config
+	}{
+		{" CG ", false, true, core.Config{Method: core.MethodCG}},
+		{"cg", true, false, core.Config{Method: core.MethodCG, Rescale: core.RescaleInfNormPow2}},
+		{"Cholesky", true, true, core.Config{Method: core.MethodCholesky, Rescale: core.RescaleDiagAvg}},
+		{"ir", true, false, core.Config{Method: core.MethodMixedIR}},
+		{"ir", false, true, core.Config{Method: core.MethodMixedIR, Rescale: core.RescaleHigham}},
+	} {
+		got, err := core.ParseConfig(c.solver, "posit16es1", c.rescale, c.higham, 1e-6, 7)
+		c.want.Format, c.want.Tol, c.want.MaxIter = "posit16es1", 1e-6, 7
+		if err != nil || got != c.want {
+			t.Errorf("ParseConfig(%q, rescale %v, higham %v) = %+v, %v; want %+v", c.solver, c.rescale, c.higham, got, err, c.want)
+		}
+	}
+	for name, parse := range map[string]func() (core.Config, error){
+		"unknown solver":    func() (core.Config, error) { return core.ParseConfig("lu", "float32", false, false, 0, 0) },
+		"unknown format":    func() (core.Config, error) { return core.ParseConfig("cg", "float99", false, false, 0, 0) },
+		"negative tol":      func() (core.Config, error) { return core.ParseConfig("cg", "float32", false, false, -1, 0) },
+		"negative max_iter": func() (core.Config, error) { return core.ParseConfig("ir", "float16", false, true, 0, -1) },
+	} {
+		if cfg, err := parse(); err == nil {
+			t.Errorf("%s accepted: %+v", name, cfg)
+		}
+	}
+}
+
+// TestSolveCtxHooks: observers see the run without changing a bit of
+// it, Phase is told each phase in order, and a breakdown is a Failed
+// solution rather than an error.
+func TestSolveCtxHooks(t *testing.T) {
+	p := testProblem(t)
+	ctx := context.Background()
+	for _, c := range []struct {
+		method core.Method
+		phases []string
+	}{
+		{core.MethodCG, []string{"cg"}},
+		{core.MethodCholesky, []string{"factor", "solve"}},
+		{core.MethodMixedIR, []string{"factor"}},
+	} {
+		cfg := core.Config{Format: "posit16es2", Method: c.method}
+		plain, err := core.SolveCtx(ctx, p, cfg, core.Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ops arith.AtomicOpCounts
+		var phases []string
+		seen, err := core.SolveCtx(ctx, p, cfg, core.Hooks{
+			Observers: []arith.Observer{&ops},
+			Phase:     func(s string) { phases = append(phases, s) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seen.X, plain.X) || seen.Iterations != plain.Iterations || ops.Snapshot().Total() == 0 {
+			t.Errorf("%v: observed run differs or counted nothing: %d vs %d iterations, %+v", c.method, seen.Iterations, plain.Iterations, ops.Snapshot())
+		}
+		if !reflect.DeepEqual(phases, c.phases) {
+			t.Errorf("%v: phases %q, want %q", c.method, phases, c.phases)
+		}
+		if (seen.Factor != nil) != (c.method == core.MethodCholesky) {
+			t.Errorf("%v: factor %v", c.method, seen.Factor != nil)
+		}
+	}
+
+	// float16 holds diag(0.001, 1) but not x₀ = 1000/0.001 = 10⁶.
+	over, err := core.ProblemFromEntries(2, []linalg.Entry{{Row: 0, Col: 0, Val: 0.001}, {Row: 1, Col: 1, Val: 1}}, []float64{1000, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := core.SolveCtx(ctx, over, core.Config{Format: "float16", Method: core.MethodCholesky}, core.Hooks{})
+	if err != nil || !sol.Failed || sol.Converged || sol.X != nil || sol.Factor == nil {
+		t.Errorf("overflowing solution: %+v, %v; want failed with a factor", sol, err)
+	}
+	if _, err := core.Solve(over, core.Config{Format: "float16", Method: core.MethodCholesky}); !errors.Is(err, solvers.ErrNotPositiveDefinite) {
+		t.Errorf("Solve of an overflowing solution: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"net/http"
 
+	"positlab/internal/arith"
 	"positlab/internal/shadow"
 )
 
@@ -60,8 +61,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		Matrix: req.Matrix, MatrixMarket: req.MatrixMarket, B: req.B,
 		Solver: req.Solver, Format: req.Format, Tol: req.Tol, MaxIter: req.MaxIter,
 	}
-	f, serr := validateSolve(sreq)
-	if serr != nil {
+	if _, serr := validateSolve(sreq); serr != nil {
 		httpError(w, serr.status, serr.msg)
 		return
 	}
@@ -70,6 +70,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	f, _ := arith.ByName(sreq.Format) // validateSolve resolved it
 	rep, err := shadow.Diagnose(r.Context(), a, b, name, shadow.Options{
 		Solver:      sreq.Solver,
 		Format:      f,

@@ -104,11 +104,14 @@ func TestDiagnoseEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestDiagnoseReportsOnEveryPath covers two reports that end early. A
-// system that is not positive definite even in float64 ends before the
-// format run, and its report still echoes the effective sampling
+// TestDiagnoseReportsOnEveryPath covers three reports that end early.
+// A system that is not positive definite even in float64 ends before
+// the format run, and its report still echoes the effective sampling
 // stride. A CG run whose tol x₀ = 0 already meets (tol ≥ 1) stops at
-// iteration 0, and its final residual is that of x = 0, which is 1.
+// iteration 0, and its final residual is that of x = 0, which is 1. A
+// float16 Cholesky solve of diag(0.001, 1) with b = (1000, 1) factors,
+// but its solution x₀ = 10⁶ overflows the format, so the run failed.
+// Each report's progress must equal /v1/solve's for the same request.
 func TestDiagnoseReportsOnEveryPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	type report struct {
@@ -121,16 +124,26 @@ func TestDiagnoseReportsOnEveryPath(t *testing.T) {
 			SampleEvery int `json:"sample_every"`
 		} `json:"telemetry"`
 	}
-	diagnose := func(body string) report {
+	run := func(path, body string) report {
 		t.Helper()
-		resp := post(t, ts.URL+"/v1/diagnose", body)
+		resp := post(t, ts.URL+path, body)
 		b := readBody(t, resp)
 		if resp.StatusCode != 200 {
-			t.Fatalf("status = %d, body %s", resp.StatusCode, b)
+			t.Fatalf("%s: status = %d, body %s", path, resp.StatusCode, b)
 		}
 		var rep report
 		if err := json.Unmarshal([]byte(b), &rep); err != nil {
-			t.Fatalf("decode report: %v\n%s", err, b)
+			t.Fatalf("decode %s: %v\n%s", path, err, b)
+		}
+		return rep
+	}
+	diagnose := func(body string) report {
+		t.Helper()
+		rep := run("/v1/diagnose", body)
+		sol := run("/v1/solve", body)
+		if rep.Iterations != sol.Iterations || rep.Converged != sol.Converged || rep.Failed != sol.Failed {
+			t.Errorf("%s: diagnose reports iterations %d, converged %v, failed %v; solve %d, %v, %v",
+				body, rep.Iterations, rep.Converged, rep.Failed, sol.Iterations, sol.Converged, sol.Failed)
 		}
 		return rep
 	}
@@ -146,5 +159,11 @@ func TestDiagnoseReportsOnEveryPath(t *testing.T) {
 	if rep.Iterations != 0 || !rep.Converged || rep.FinalResidual != 1 {
 		t.Errorf("tol 2: iterations %d, converged %v, final_residual %v; want 0, true, 1",
 			rep.Iterations, rep.Converged, rep.FinalResidual)
+	}
+
+	overflow := "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 0.001\n2 2 1\n"
+	rep = diagnose(mustJSON(t, map[string]any{"matrix_market": overflow, "b": []float64{1000, 1}, "solver": "cholesky", "format": "float16"}))
+	if !rep.Failed || rep.Converged {
+		t.Errorf("overflowing solution: converged %v, failed %v; want false, true", rep.Converged, rep.Failed)
 	}
 }

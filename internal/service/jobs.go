@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"positlab/internal/arith"
+	"positlab/internal/core"
 	"positlab/internal/jobs"
 	"positlab/internal/solvers"
 )
@@ -310,10 +311,10 @@ func (e *jobExecutor) runSolveJob(ctx context.Context, job jobs.Job, sink jobs.S
 	if err := json.Unmarshal(job.Spec, &req); err != nil {
 		return nil, jobs.Permanent(fmt.Errorf("decode solve spec: %w", err))
 	}
-	ck := solveCheckpointing{}
+	var h core.Hooks
 	if job.CheckpointEvery > 0 {
-		ck.cg.Every = job.CheckpointEvery
-		ck.cg.OnCheckpoint = func(c *solvers.CGCheckpoint) error {
+		h.CG.Every = job.CheckpointEvery
+		h.CG.OnCheckpoint = func(c *solvers.CGCheckpoint) error {
 			sink.Progress(progressOf(c.Iter, c.History))
 			wire := cgWire(c)
 			data, err := json.Marshal(wire)
@@ -322,8 +323,8 @@ func (e *jobExecutor) runSolveJob(ctx context.Context, job jobs.Job, sink jobs.S
 			}
 			return sink.Checkpoint(c.Iter, data)
 		}
-		ck.ir.Every = job.CheckpointEvery
-		ck.ir.OnCheckpoint = func(c *solvers.IRCheckpoint) error {
+		h.IR.Every = job.CheckpointEvery
+		h.IR.OnCheckpoint = func(c *solvers.IRCheckpoint) error {
 			sink.Progress(progressOf(c.Iter, c.History))
 			data, err := json.Marshal(irWire(c))
 			if err != nil {
@@ -342,15 +343,15 @@ func (e *jobExecutor) runSolveJob(ctx context.Context, job jobs.Job, sink jobs.S
 			// Another encoding would resume from misread state; the
 			// job runs from iteration 0 instead.
 		case wire.Solver == "cg":
-			ck.cg.Resume = wire.cgCheckpoint()
+			h.CG.Resume = wire.cgCheckpoint()
 		case wire.Solver == "ir":
-			ck.ir.Resume = wire.irCheckpoint()
+			h.IR.Resume = wire.irCheckpoint()
 		default:
 			return nil, jobs.Permanent(fmt.Errorf("checkpoint for unknown solver %q", wire.Solver))
 		}
 	}
 
-	resp, serr := e.s.runSolve(ctx, &req, ck)
+	resp, serr := e.s.runSolve(ctx, &req, h)
 	if serr != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			// Cancellation/drain/deadline: hand the raw context error to

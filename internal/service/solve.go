@@ -8,12 +8,11 @@ import (
 	"time"
 
 	"positlab/internal/arith"
+	"positlab/internal/core"
 	"positlab/internal/experiments"
 	"positlab/internal/linalg"
 	"positlab/internal/matgen"
 	"positlab/internal/mmarket"
-	"positlab/internal/scaling"
-	"positlab/internal/solvers"
 )
 
 // solveRequest is the POST /v1/solve body.
@@ -87,14 +86,6 @@ type solveError struct {
 
 func (e *solveError) Error() string { return e.msg }
 
-// solveCheckpointing threads the job subsystem's checkpoint cadence and
-// resume state into the solver loops. The zero value (the synchronous
-// /v1/solve path) checkpoints nothing.
-type solveCheckpointing struct {
-	cg solvers.CGCheckpointOptions
-	ir solvers.IRCheckpointOptions
-}
-
 // handleSolve implements POST /v1/solve: one solver run, in the
 // requested format, on a named suite matrix or an uploaded
 // MatrixMarket system. The request context (per-request timeout,
@@ -105,7 +96,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	resp, serr := s.runSolve(r.Context(), &req, solveCheckpointing{})
+	resp, serr := s.runSolve(r.Context(), &req, core.Hooks{})
 	if serr != nil {
 		httpError(w, serr.status, serr.msg)
 		return
@@ -113,136 +104,58 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// validateSolve resolves the request's format and solver names,
-// normalizing req.Solver, and refuses a negative tol or max_iter: CG
-// squares tol into its threshold, so tol -1 would stop at x = 0. It is
-// called at HTTP time (solve and diagnose) and at job submission, so
-// bad specs are rejected before they are journaled.
-func validateSolve(req *solveRequest) (arith.Format, *solveError) {
-	f, err := arith.ByName(req.Format)
+// validateSolve maps the request to a validated core.Config (see
+// core.ParseConfig) and normalizes req.Solver. It is called at HTTP
+// time (solve and diagnose) and at job submission, so bad specs are
+// rejected before they are journaled.
+func validateSolve(req *solveRequest) (core.Config, *solveError) {
+	cfg, err := core.ParseConfig(req.Solver, req.Format, req.Rescale, req.Higham, req.Tol, req.MaxIter)
 	if err != nil {
-		return nil, &solveError{http.StatusBadRequest, err.Error()}
+		return cfg, &solveError{http.StatusBadRequest, err.Error()}
 	}
-	solver := strings.ToLower(strings.TrimSpace(req.Solver))
-	switch solver {
-	case "cg", "cholesky", "ir":
-	default:
-		return nil, &solveError{http.StatusBadRequest,
-			fmt.Sprintf("unknown solver %q (known: cg, cholesky, ir)", req.Solver)}
-	}
-	if req.Tol < 0 {
-		return nil, &solveError{http.StatusBadRequest, fmt.Sprintf("tol must be >= 0, got %g", req.Tol)}
-	}
-	if req.MaxIter < 0 {
-		return nil, &solveError{http.StatusBadRequest, fmt.Sprintf("max_iter must be >= 0, got %d", req.MaxIter)}
-	}
-	req.Solver = solver
-	return f, nil
+	req.Solver = cfg.Method.String()
+	return cfg, nil
 }
 
-// runSolve executes one solver request. It is the shared engine of the
-// synchronous POST /v1/solve handler and the async job executor; the
-// latter passes checkpoint cadence and resume state through ck. Because
-// the whole pipeline — system construction, rescaling, format
-// conversion, solver loop — is deterministic, a run resumed from a
-// checkpoint returns results bit-identical to an uninterrupted one.
-func (s *Server) runSolve(ctx context.Context, req *solveRequest, ck solveCheckpointing) (solveResponse, *solveError) {
-	var resp solveResponse
-	f, serr := validateSolve(req)
+// runSolve executes one solver request through core.SolveCtx. It is
+// the shared engine of the synchronous POST /v1/solve handler and the
+// async job executor; the latter passes checkpoint cadence and resume
+// state in h. Because the whole pipeline — system construction,
+// rescaling, format conversion, solver loop — is deterministic, a run
+// resumed from a checkpoint returns results bit-identical to an
+// uninterrupted one.
+func (s *Server) runSolve(ctx context.Context, req *solveRequest, h core.Hooks) (solveResponse, *solveError) {
+	cfg, serr := validateSolve(req)
 	if serr != nil {
-		return resp, serr
+		return solveResponse{}, serr
 	}
 	a, b, name, err := s.loadSystem(req)
 	if err != nil {
-		return resp, &solveError{http.StatusBadRequest, err.Error()}
+		return solveResponse{}, &solveError{http.StatusBadRequest, err.Error()}
 	}
 
 	// Two counters see the same tally: the server-wide one and this
 	// request's report. Results stay bit-identical.
 	reqOps := &arith.AtomicOpCounts{}
-	fi := arith.Observe(f, s.metrics.Ops, reqOps)
-
-	resp = solveResponse{Solver: req.Solver, Format: f.Name(), Matrix: name, N: a.N}
+	h.Observers = []arith.Observer{s.metrics.Ops, reqOps}
 	start := time.Now()
-	switch req.Solver {
-	case "cg":
-		tol := req.Tol
-		if tol == 0 {
-			tol = 1e-5
-		}
-		maxIter := req.MaxIter
-		if maxIter == 0 {
-			maxIter = 10 * a.N
-		}
-		if req.Rescale {
-			a = a.Clone()
-			b = append([]float64(nil), b...)
-			scaling.RescaleSystemCG(a, b)
-		}
-		an := a.ToFormat(fi, false)
-		bn := linalg.VecFromFloat64(fi, b)
-		res, err := solvers.CGCheckpointed(ctx, an, bn, tol, maxIter, ck.cg)
-		if err != nil {
-			return resp, &solveError{statusFromCtx(err), "solve canceled: " + err.Error()}
-		}
-		resp.Iterations = res.Iterations
-		resp.Converged = res.Converged
-		resp.Failed = res.Failed
-		resp.RelResidual = jsonFloat(res.RelResidual)
-		resp.History = jsonFloats(res.History)
-		if req.ReturnX {
-			resp.X = jsonFloats(res.X)
-		}
-
-	case "cholesky":
-		if req.Rescale {
-			a = a.Clone()
-			b = append([]float64(nil), b...)
-			scaling.RescaleSystemCholesky(a, b)
-		}
-		an := a.ToDense().ToFormat(fi, false)
-		bn := linalg.VecFromFloat64(fi, b)
-		x, err := solvers.CholeskySolveCtx(ctx, an, bn)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return resp, &solveError{statusFromCtx(ctxErr), "solve canceled: " + ctxErr.Error()}
-			}
-			// Breakdown in the working format: a result, not a server
-			// error (the '-' entries of the paper's tables).
-			resp.Failed = true
-			break
-		}
-		xf := linalg.VecToFloat64(f, x)
-		resp.Converged = true
-		resp.BackwardError = jsonFloat(solvers.BackwardError(a, b, xf))
-		if req.ReturnX {
-			resp.X = jsonFloats(xf)
-		}
-
-	case "ir":
-		sc := solvers.IRScaling{}
-		if req.Higham {
-			sc = solvers.IRScaling{
-				R:  scaling.HighamEquilibrate(a, 1e-8, 100),
-				Mu: scaling.MuFor(f),
-			}
-		}
-		res, err := solvers.MixedIRCheckpointed(ctx, a, b, fi, sc, solvers.IROptions{
-			Tol:     req.Tol,
-			MaxIter: req.MaxIter,
-		}, ck.ir)
-		if err != nil {
-			return resp, &solveError{statusFromCtx(err), "solve canceled: " + err.Error()}
-		}
-		resp.Iterations = res.Iterations
-		resp.Converged = res.Converged
-		resp.Failed = res.FactorFailed
-		resp.BackwardError = jsonFloat(res.BackwardError)
-		resp.FactorError = jsonFloat(res.FactorError)
-		resp.History = jsonFloats(res.History)
-		if req.ReturnX {
-			resp.X = jsonFloats(res.X)
-		}
+	sol, err := core.SolveCtx(ctx, core.Problem{A: a, B: b}, cfg, h)
+	if err != nil {
+		return solveResponse{}, &solveError{statusFromCtx(err), "solve canceled: " + err.Error()}
+	}
+	resp := solveResponse{
+		Solver: req.Solver, Format: sol.Format, Matrix: name, N: a.N,
+		Iterations: sol.Iterations, Converged: sol.Converged, Failed: sol.Failed,
+		RelResidual: jsonFloat(sol.RelResidual),
+		FactorError: jsonFloat(sol.FactorError),
+		History:     jsonFloats(sol.History),
+	}
+	if cfg.Method != core.MethodCG {
+		// CG reports its recurrence residual instead.
+		resp.BackwardError = jsonFloat(sol.BackwardError)
+	}
+	if req.ReturnX {
+		resp.X = jsonFloats(sol.X)
 	}
 	resp.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	resp.Ops = reqOps.Snapshot()

@@ -12,13 +12,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 
 	"positlab/internal/arith"
+	"positlab/internal/core"
 	"positlab/internal/linalg"
-	"positlab/internal/scaling"
-	"positlab/internal/solvers"
 )
 
 // Options configures one Diagnose run.
@@ -120,38 +118,132 @@ type Report struct {
 const maxColumnDiags = 32
 
 // Diagnose runs one shadow-diagnosed solve of A·x = b and returns the
-// report. matrix is a display name only. The context cancels both the
-// reference and the format run.
+// report. matrix is a display name only; opt.Format must be a
+// registered format (arith.ByName resolves its Name). Both runs go
+// through core.SolveCtx, which the context cancels.
 func Diagnose(ctx context.Context, a *linalg.Sparse, b []float64, matrix string, opt Options) (*Report, error) {
 	if opt.Format == nil {
 		return nil, fmt.Errorf("shadow: Diagnose needs a format")
 	}
-	if len(b) != a.N {
-		return nil, fmt.Errorf("shadow: b has %d entries, matrix is %d×%d", len(b), a.N, a.N)
+	tp := opt.TracePoints
+	if tp <= 0 {
+		tp = 32
 	}
-	if opt.TracePoints <= 0 {
-		opt.TracePoints = 32
+	cfg, err := core.ParseConfig(opt.Solver, opt.Format.Name(), opt.Rescale, opt.Higham, opt.Tol, opt.MaxIter)
+	if err != nil {
+		return nil, fmt.Errorf("shadow: %w", err)
 	}
-	solver := strings.ToLower(strings.TrimSpace(opt.Solver))
-	rep := &Report{Matrix: matrix, Solver: solver, Format: opt.Format.Name(), N: a.N}
-	start := time.Now()
-	var err error
-	switch solver {
-	case "cg":
-		err = diagnoseCG(ctx, a, b, opt, rep)
-	case "cholesky":
-		err = diagnoseCholesky(ctx, a, b, opt, rep)
-	case "ir":
-		err = diagnoseIR(ctx, a, b, opt, rep)
-	default:
-		return nil, fmt.Errorf("shadow: unknown solver %q (known: cg, cholesky, ir)", opt.Solver)
-	}
+	// The Recorder measures the Nums of the registered format the run
+	// uses. It exists before the reference run, so a report that ends
+	// there still carries its (empty) telemetry and stride.
+	f, err := arith.ByName(cfg.Format)
 	if err != nil {
 		return nil, err
 	}
-	rep.SampleEvery = rep.Telemetry.SampleEvery
-	rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return rep, nil
+	rec := NewRecorder(f, opt.Sample)
+	rep := &Report{Matrix: matrix, Solver: cfg.Method.String(), Format: f.Name(), N: a.N}
+	p := core.Problem{A: a, B: b}
+	_, maxIter := cfg.Caps(a.N)
+	stride := traceStride(maxIter, tp)
+	start := time.Now()
+	finish := func() (*Report, error) {
+		rep.Telemetry = rec.Snapshot()
+		rep.SampleEvery = rep.Telemetry.SampleEvery
+		rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
+		return rep, nil
+	}
+
+	// Shadow-precision reference: the same run in Float64; for ir a
+	// Float64 Cholesky solve of the unscaled system, the target the
+	// refinement converges toward. CG keeps its iterates at the trace
+	// points for an iteration-for-iteration comparison.
+	refCfg := cfg
+	if cfg.Method == core.MethodMixedIR {
+		refCfg = core.Config{Method: core.MethodCholesky}
+	}
+	refCfg.Format = "float64"
+	refX := map[int][]float64{}
+	var refHooks core.Hooks
+	refHooks.CG.OnIteration = func(iter int, x, _ []arith.Num) {
+		if shouldTrace(iter, tp, stride) {
+			refX[iter] = linalg.VecToFloat64(arith.Float64, x)
+		}
+	}
+	ref, err := core.SolveCtx(ctx, p, refCfg, refHooks)
+	if err != nil {
+		return nil, err
+	}
+	rep.ShadowFinalResidual = Float(ref.BackwardError)
+	switch {
+	case cfg.Method == core.MethodCG:
+		rep.ShadowFinalResidual = Float(ref.RelResidual)
+	case ref.Failed && cfg.Method == core.MethodCholesky:
+		// Not positive definite even at shadow precision: the request
+		// is unsolvable, which is a diagnosis, not a server error.
+		rep.Failed = true
+		return finish()
+	}
+
+	// The format run, under the Recorder, which SolveCtx tells of each
+	// phase ("cg", "factor", "solve") as its label. Past the reference
+	// run's convergence point CG's divergence is taken against its
+	// final iterate (the trajectory the format run failed to follow).
+	// Residuals are measured on the original system, where pow2
+	// rescaling leaves them exact. Without a reference solution, ir's
+	// divergence entries stay null.
+	normB := linalg.Norm2F64(b)
+	scratch := make([]float64, a.N)
+	var trace []TracePoint
+	h := core.Hooks{Observers: []arith.Observer{rec}, Phase: rec.SetLabel}
+	h.CG.OnIteration = func(iter int, x, _ []arith.Num) {
+		if !shouldTrace(iter, tp, stride) {
+			return
+		}
+		xf := linalg.VecToFloat64(f, x)
+		rx := refX[iter]
+		if rx == nil {
+			rx = ref.X
+		}
+		trace = append(trace, TracePoint{
+			Iter:           iter,
+			Divergence:     Float(relDist(xf, rx)),
+			Residual:       Float(trueResidual(a, b, xf, scratch, normB)),
+			ShadowResidual: Float(trueResidual(a, b, rx, scratch, normB)),
+		})
+	}
+	h.IR.OnIteration = func(iter int, x []float64, eta float64) {
+		if !shouldTrace(iter, tp, stride) {
+			return
+		}
+		div := math.NaN()
+		if ref.X != nil {
+			div = relDist(x, ref.X)
+		}
+		trace = append(trace, TracePoint{
+			Iter:           iter,
+			Divergence:     Float(div),
+			Residual:       Float(eta),
+			ShadowResidual: rep.ShadowFinalResidual,
+		})
+	}
+	sol, err := core.SolveCtx(ctx, p, cfg, h)
+	if err != nil {
+		return nil, err
+	}
+	rep.Iterations, rep.Converged, rep.Failed = sol.Iterations, sol.Converged, sol.Failed
+	rep.FinalResidual = Float(sol.BackwardError)
+	if cfg.Method == core.MethodCG {
+		rep.FinalResidual = Float(sol.RelResidual)
+	}
+	rep.Trace = trace
+	if sol.Factor != nil {
+		rep.Columns = columnDiags(sol.Factor.ToFloat64(), ref.Factor.ToFloat64())
+	}
+	if ref.X != nil && sol.X != nil {
+		rep.ForwardError = Float(relDist(sol.X, ref.X))
+		fillEnvelope(rep, f, ref.X)
+	}
+	return finish()
 }
 
 // traceStride picks the sparse-tail stride so a full-length run yields
@@ -166,208 +258,6 @@ func traceStride(maxIter, tp int) int {
 
 func shouldTrace(iter, tp, stride int) bool {
 	return iter <= tp || iter%stride == 0
-}
-
-func diagnoseCG(ctx context.Context, a *linalg.Sparse, b []float64, opt Options, rep *Report) error {
-	if opt.Rescale {
-		a = a.Clone()
-		b = append([]float64(nil), b...)
-		scaling.RescaleSystemCG(a, b)
-	}
-	tol := opt.Tol
-	if tol == 0 {
-		tol = 1e-5
-	}
-	maxIter := opt.MaxIter
-	if maxIter == 0 {
-		maxIter = 10 * a.N
-	}
-	stride := traceStride(maxIter, opt.TracePoints)
-
-	// Shadow-precision run: plain Float64, same algorithm, same
-	// tolerance. Iterates at the trace points are retained so the
-	// format run can be compared iteration-for-iteration.
-	f64 := arith.Float64
-	refX := map[int][]float64{}
-	refRes, err := solvers.CGCheckpointed(ctx, a.ToFormat(f64, false), linalg.VecFromFloat64(f64, b),
-		tol, maxIter, solvers.CGCheckpointOptions{
-			OnIteration: func(iter int, x, _ []arith.Num) {
-				if shouldTrace(iter, opt.TracePoints, stride) {
-					refX[iter] = linalg.VecToFloat64(f64, x)
-				}
-			},
-		})
-	if err != nil {
-		return err
-	}
-
-	// Format run under the shadow wrapper. Past the reference run's
-	// convergence point the divergence is taken against its final
-	// iterate (the trajectory the format run failed to follow).
-	sf, rec := Wrap(opt.Format, opt.Sample)
-	rec.SetLabel("cg")
-	normB := linalg.Norm2F64(b)
-	scratch := make([]float64, a.N)
-	var trace []TracePoint
-	res, err := solvers.CGCheckpointed(ctx, a.ToFormat(sf, false), linalg.VecFromFloat64(sf, b),
-		tol, maxIter, solvers.CGCheckpointOptions{
-			OnIteration: func(iter int, x, _ []arith.Num) {
-				if !shouldTrace(iter, opt.TracePoints, stride) {
-					return
-				}
-				xf := linalg.VecToFloat64(sf, x)
-				ref := refX[iter]
-				if ref == nil {
-					ref = refRes.X
-				}
-				trace = append(trace, TracePoint{
-					Iter:           iter,
-					Divergence:     Float(relDist(xf, ref)),
-					Residual:       Float(trueResidual(a, b, xf, scratch, normB)),
-					ShadowResidual: Float(trueResidual(a, b, ref, scratch, normB)),
-				})
-			},
-		})
-	if err != nil {
-		return err
-	}
-	rep.Iterations = res.Iterations
-	rep.Converged = res.Converged
-	rep.Failed = res.Failed
-	rep.FinalResidual = Float(res.RelResidual)
-	rep.ShadowFinalResidual = Float(refRes.RelResidual)
-	rep.ForwardError = Float(relDist(res.X, refRes.X))
-	rep.Trace = trace
-	fillEnvelope(rep, opt.Format, refRes.X)
-	rep.Telemetry = rec.Snapshot()
-	return nil
-}
-
-func diagnoseCholesky(ctx context.Context, a *linalg.Sparse, b []float64, opt Options, rep *Report) error {
-	if opt.Rescale {
-		a = a.Clone()
-		b = append([]float64(nil), b...)
-		scaling.RescaleSystemCholesky(a, b)
-	}
-	ad := a.ToDense()
-	// The wrapper exists before the reference run, so a report that
-	// ends there still carries its (empty) telemetry and stride.
-	sf, rec := Wrap(opt.Format, opt.Sample)
-
-	// Shadow-precision factorization and solve in Float64.
-	f64 := arith.Float64
-	rRef, err := solvers.CholeskyCtx(ctx, ad.ToFormat(f64, false))
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		// Not positive definite even at shadow precision: the request
-		// is unsolvable, which is a diagnosis, not a server error.
-		rep.Failed = true
-		rep.Telemetry = rec.Snapshot()
-		return nil
-	}
-	xRef := linalg.VecToFloat64(f64,
-		solvers.SolveUpper(rRef, solvers.SolveLowerT(rRef, linalg.VecFromFloat64(f64, b))))
-	rep.ShadowFinalResidual = Float(solvers.BackwardError(a, b, xRef))
-
-	// Format factorization under the shadow wrapper.
-	rec.SetLabel("factor")
-	rFmt, err := solvers.CholeskyCtx(ctx, ad.ToFormat(sf, false))
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		// Breakdown in the working format — the '-' entries of the
-		// paper's tables. The telemetry up to the failing column is
-		// the interesting part of this report.
-		rep.Failed = true
-		rep.Telemetry = rec.Snapshot()
-		return nil
-	}
-	rep.Columns = columnDiags(rFmt.ToFloat64(), rRef.ToFloat64())
-
-	rec.SetLabel("solve")
-	x := solvers.SolveUpper(rFmt, solvers.SolveLowerT(rFmt, linalg.VecFromFloat64(sf, b)))
-	xf := linalg.VecToFloat64(sf, x)
-	rep.Converged = true
-	rep.FinalResidual = Float(solvers.BackwardError(a, b, xf))
-	rep.ForwardError = Float(relDist(xf, xRef))
-	fillEnvelope(rep, opt.Format, xRef)
-	rep.Telemetry = rec.Snapshot()
-	return nil
-}
-
-func diagnoseIR(ctx context.Context, a *linalg.Sparse, b []float64, opt Options, rep *Report) error {
-	tol := opt.Tol
-	if tol == 0 {
-		tol = 1e-15
-	}
-	maxIter := opt.MaxIter
-	if maxIter == 0 {
-		maxIter = 1000
-	}
-	sc := solvers.IRScaling{}
-	if opt.Higham {
-		sc = solvers.IRScaling{
-			R:  scaling.HighamEquilibrate(a, 1e-8, 100),
-			Mu: scaling.MuFor(opt.Format),
-		}
-	}
-
-	// Shadow-precision solution: a dense Float64 Cholesky solve of the
-	// unscaled system, the target the refinement is converging toward.
-	f64 := arith.Float64
-	var xRef []float64
-	xr, err := solvers.CholeskySolveCtx(ctx, a.ToDense().ToFormat(f64, false), linalg.VecFromFloat64(f64, b))
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		// No shadow solution (not positive definite at Float64):
-		// divergence entries stay null, the run itself proceeds.
-	} else {
-		xRef = linalg.VecToFloat64(f64, xr)
-		rep.ShadowFinalResidual = Float(solvers.BackwardError(a, b, xRef))
-	}
-
-	sf, rec := Wrap(opt.Format, opt.Sample)
-	rec.SetLabel("factor")
-	stride := traceStride(maxIter, opt.TracePoints)
-	var trace []TracePoint
-	res, err := solvers.MixedIRCheckpointed(ctx, a, b, sf, sc,
-		solvers.IROptions{Tol: tol, MaxIter: maxIter},
-		solvers.IRCheckpointOptions{
-			OnIteration: func(iter int, x []float64, eta float64) {
-				if !shouldTrace(iter, opt.TracePoints, stride) {
-					return
-				}
-				div := math.NaN()
-				if xRef != nil {
-					div = relDist(x, xRef)
-				}
-				trace = append(trace, TracePoint{
-					Iter:           iter,
-					Divergence:     Float(div),
-					Residual:       Float(eta),
-					ShadowResidual: rep.ShadowFinalResidual,
-				})
-			},
-		})
-	if err != nil {
-		return err
-	}
-	rep.Iterations = res.Iterations
-	rep.Converged = res.Converged
-	rep.Failed = res.FactorFailed
-	rep.FinalResidual = Float(res.BackwardError)
-	rep.Trace = trace
-	if xRef != nil && res.X != nil {
-		rep.ForwardError = Float(relDist(res.X, xRef))
-		fillEnvelope(rep, opt.Format, xRef)
-	}
-	rep.Telemetry = rec.Snapshot()
-	return nil
 }
 
 // --- float64-only metric helpers ---

@@ -21,7 +21,10 @@
 #               the report must carry solver progress, the accuracy
 #               envelope, and non-empty per-op error histograms, and
 #               the run must land in the shadow gauges of
-#               /debug/metrics.
+#               /debug/metrics. That body and a float16 Cholesky upload
+#               whose solution overflows the format are also POSTed to
+#               /v1/solve: each diagnosis must report the iterations,
+#               converged and failed of its solve.
 set -euo pipefail
 
 SCENARIO=${1:?usage: positd-smoke.sh <basic|jobs-crash|diagnose> [port]}
@@ -102,6 +105,24 @@ scenario_jobs_crash() {
   stop_graceful
 }
 
+# progress <json>: "iterations converged failed" of a solve response or
+# a diagnosis report (both compact JSON, the three fields adjacent).
+progress() {
+  sed -n 's/.*"iterations":\([0-9]*\),"converged":\([a-z]*\),"failed":\([a-z]*\).*/\1 \2 \3/p' <<<"$1"
+}
+
+# same_progress <solve body> <report>: a diagnosis report must carry
+# the progress /v1/solve reports for the same system and solver.
+same_progress() {
+  local want got
+  want=$(progress "$(curl -sf -X POST "$ADDR/v1/solve" -d "$1")")
+  got=$(progress "$2")
+  if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "positd-smoke: diagnose reports '$got', solve '$want' for $1" >&2
+    return 1
+  fi
+}
+
 scenario_diagnose() {
   start_positd -quiet
   REP=$(curl -sf -X POST "$ADDR/v1/diagnose" \
@@ -114,6 +135,10 @@ scenario_diagnose() {
   OPS=$(echo "$REP" | sed -n 's/.*"total_ops":\([0-9]*\).*/\1/p')
   test "${OPS:-0}" -gt 0
   curl -sf "$ADDR/debug/metrics" | grep -q '"shadow":{"runs":1,"shadowed_ops":'"$OPS"
+  same_progress '{"matrix":"bcsstk01","solver":"cg","format":"posit32es2","rescale":true}' "$REP"
+  # float16 holds diag(0.001, 1) but not the solution's 10^6.
+  OVER='{"matrix_market":"%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 0.001\n2 2 1\n","b":[1000,1],"solver":"cholesky","format":"float16"}'
+  same_progress "$OVER" "$(curl -sf -X POST "$ADDR/v1/diagnose" -d "$OVER")"
   stop_graceful
 }
 
