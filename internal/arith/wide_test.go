@@ -216,13 +216,25 @@ func TestWideBoundaryQuotientsAndRoots(t *testing.T) {
 // TestWideSumTies aims sums of two posit values exactly at rounding
 // boundaries (v+h = v ± u_s/2 at scale s, a genuine tie the float64
 // sum holds exactly) and beside them, in binades across the range, and
-// checks every sum site (checkAddSites, DotKernel, MatVecKernel)
-// against the integer pipeline: a tie goes to the even pattern.
+// checks every sum site (checkAddSites, MulAdd, the aliased
+// MulAddKernel, DotKernel, MatVecKernel) against the integer pipeline:
+// a tie goes to the even pattern.
+//
+// Each tie also comes with the addend moved off the grid by
+// d = ±ulp(v+h)/4, so the float64 sum still lands on the boundary while
+// the exact sum lies beside it and the TwoSum residual is d. Two posit
+// values never sum that way, so only a raw addend reaches it. The
+// wanted value is the pipeline's Add of the operands as the format
+// holds them (the raw addend rounded to its posit), which every site
+// must keep: a residual does not settle such a sum inline.
+// DotKernel and MatVecKernel round the addend at its product, as the
+// defining sequence does.
 func TestWideSumTies(t *testing.T) {
 	for _, c := range wideConfigs {
 		t.Run(c.String(), func(t *testing.T) {
 			f, slow := arith.FastPosit(c), arith.Posit(c)
 			var vs, hs, want []float64
+			sides := map[bool]int{} // off-grid cases by whether the exact sum lies beyond the boundary
 			for _, s := range []int{-40, -17, -1, 0, 1, 5, 23, 40} {
 				base := math.Ldexp(1, s)
 				us := c.ToFloat64(c.Next(c.FromFloat64(base))) - base
@@ -232,19 +244,41 @@ func TestWideSumTies(t *testing.T) {
 						if slow.ToFloat64(slow.FromFloat64(h)) != h || v+h-v != h {
 							t.Fatalf("scale %d: addend %g not an exact posit term", s, h)
 						}
-						for _, sg := range []float64{1, -1} {
-							vs = append(vs, sg*v)
-							hs = append(hs, sg*h)
-							want = append(want, slow.ToFloat64(slow.Add(slow.FromFloat64(sg*v), slow.FromFloat64(sg*h))))
+						sum := v + h
+						q := (math.Nextafter(sum, math.Inf(1)) - sum) / 4
+						for _, hd := range []float64{h, h - q, h + q} {
+							if hd != h {
+								if v+hd != sum || hd-h == 0 {
+									t.Fatalf("scale %d: v=%g h=%g: off-grid addend %g leaves the boundary", s, v, h, hd)
+								}
+								sides[hd > h]++
+							}
+							for _, sg := range []float64{1, -1} {
+								vs = append(vs, sg*v)
+								hs = append(hs, sg*hd)
+								want = append(want, slow.ToFloat64(slow.Add(slow.FromFloat64(sg*v), slow.FromFloat64(sg*hd))))
+							}
 						}
 					}
 				}
 			}
+			if sides[true] == 0 || sides[false] == 0 {
+				t.Fatalf("off-grid addends: %d beyond the boundary, %d short of it; want both", sides[true], sides[false])
+			}
 			v, h := raw(vs), raw(hs)
 			checkAddSites(t, f, v, h, want)
 			bk := arith.BulkOf(f)
-			ones := []arith.Num{f.One(), f.One()}
+			one := f.One()
+			ones := []arith.Num{one, one}
 			for i := range v {
+				if got := f.ToFloat64(f.MulAdd(one, v[i], h[i])); got != want[i] {
+					t.Fatalf("MulAdd(1, %g, %g) = %g, pipeline %g", vs[i], hs[i], got, want[i])
+				}
+				d := []arith.Num{v[i]}
+				bk.MulAddKernel(one, d, []arith.Num{h[i]}, d)
+				if got := f.ToFloat64(d[0]); got != want[i] {
+					t.Fatalf("aliased MulAddKernel(1, %g, %g) = %g, pipeline %g", vs[i], hs[i], got, want[i])
+				}
 				if got := f.ToFloat64(bk.DotKernel([]arith.Num{v[i], h[i]}, ones)); got != want[i] {
 					t.Fatalf("DotKernel(%g, %g) = %g, pipeline %g", vs[i], hs[i], got, want[i])
 				}
