@@ -91,15 +91,9 @@ func exactEligibleMini(f minifloat.Format) bool {
 type roundTables struct {
 	minScale int // scale of minpos
 	maxScale int // scale of maxpos
-	// dropByE[e] for a float64 biased exponent e: the number of
-	// mantissa bits to discard when rounding a magnitude with that
-	// exponent, or 0 where the inline path does not apply (zeros,
-	// subnormals, specials, out-of-range and region scales) — the same
-	// table as Tables.dropByE. Scales with explicit fraction bits form
-	// one run in the middle of the range, and a carry out of the run's
-	// top binade lands on a power of two the format represents, so a
-	// magnitude rounded at dropByE never overflows.
-	dropByE [2048]uint8
+	// inline is the inline rounding step (exact.go), with entries at the
+	// scales that have explicit fraction bits, as in Tables.
+	inline *inlineTable
 	// Region tables, indexed by s-minScale and populated where the
 	// scale has no explicit fraction bits: the bracketing representable
 	// values around 2^s, the rounding midpoint between them, and the
@@ -118,31 +112,28 @@ type roundTables struct {
 // tie, common for sums) or through the integer pipeline. Off a
 // boundary, x rounds as the exact result does (see the header above).
 func (t *roundTables) round(x float64, exact bool) (v float64, ok bool) {
-	ab := math.Float64bits(x)
-	sb := ab & signBit64
-	ab ^= sb
-	if drop := uint(t.dropByE[ab>>52]) & 63; drop != 0 {
-		mask := uint64(1)<<drop - 1
-		if !exact && ab&mask == mask>>1+1 {
-			return 0, false
-		}
+	b := math.Float64bits(x)
+	r, tie, inline := t.inline.round(b)
+	switch {
+	case inline:
+		return math.Float64frombits(r), true
+	case tie != 0 && !exact:
+		return 0, false
+	case tie != 0:
 		// A genuine tie goes to the even pattern: the kept-bit parity
 		// is the pattern parity where there are explicit fraction bits.
-		return math.Float64frombits(roundBits(ab, mask, ab>>drop&1) | sb), true
-	}
-	if x == 0 {
+		return math.Float64frombits(r + r&(tie<<1)), true
+	case x == 0:
 		return 0, true // posit has a single zero
-	}
-	if math.IsNaN(x) {
+	case math.IsNaN(x):
 		return x, true
-	}
-	if math.IsInf(x, 0) {
+	case math.IsInf(x, 0):
 		return math.NaN(), true // infinite intermediates are NaR
 	}
-	neg := sb != 0
+	neg := b&signBit64 != 0
 	// A float64 subnormal has exponent field 0: far below every
 	// format's range.
-	exp := int(ab>>52) - 1023
+	exp := int(b>>52&2047) - 1023
 	if exp < t.minScale {
 		// Below the smallest representable scale. The region entry at
 		// minScale handles values just under minpos via its midpoint;
@@ -157,7 +148,7 @@ func (t *roundTables) round(x float64, exact bool) (v float64, ok bool) {
 	// Region path: zero or negative fraction bits — the value rounds
 	// between down[s] and up[s] with the format's own midpoint.
 	idx := exp - t.minScale
-	a := math.Float64frombits(ab)
+	a := math.Abs(x)
 	down, up, mid := t.down[idx], t.up[idx], t.mid[idx]
 	if !exact && a == mid {
 		return 0, false
@@ -234,12 +225,12 @@ func newWidePosit(c posit.Config) *widePosit {
 	t.up = make([]float64, n)
 	t.mid = make([]float64, n)
 	t.downOdd = make([]bool, n)
+	fb := make([]int8, n)
 	for s := t.minScale; s <= t.maxScale; s++ {
-		if fb := rawFracBits(c, s); fb >= 1 {
-			t.dropByE[s+1023] = uint8(52 - fb)
+		i := s - t.minScale
+		if fb[i] = int8(rawFracBits(c, s)); fb[i] >= 1 {
 			continue
 		}
-		i := s - t.minScale
 		// Largest posit <= 2^s.
 		p := c.FromFloat64(math.Ldexp(1, s))
 		if c.ToFloat64(p) > math.Ldexp(1, s) {
@@ -256,6 +247,7 @@ func newWidePosit(c posit.Config) *widePosit {
 		t.mid[i], _ = mv.Float64()
 		t.downOdd[i] = uint64(p)&1 == 1
 	}
+	t.inline = newInlineTable(t.minScale, fb)
 	return &widePosit{c: c, t: t}
 }
 

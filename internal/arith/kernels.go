@@ -139,49 +139,38 @@ func (s scalarKernels) DivKernel(alpha Num, x []Num) {
 // --- value-domain kernels (posits wider than 16 bits) ---
 //
 // widePosit's inner loops compute in float64 and round every result
-// inline, as the table engine's loops do: one dropByE load, then
-// roundBits with no branch on the rounding direction (a result off a
-// boundary needs no tie rule) and no call. A zero result is the one
-// posit zero. Everything else — specials, region scales, and results
-// exactly on a rounding boundary — takes the scalar addVal/mulVal or
-// Div, so bit-identity with the scalar methods holds by construction:
-// the inline step is round's own common path, and the fallback *is*
-// the scalar path. The loops repeat the step instead of sharing a
-// helper for it: such a helper sits at the edge of Go's inline budget,
-// where one more operation turns it into a call per element.
+// through the inline step, inlineTable.round, as the table engine's
+// loops do. A zero result is the one posit zero. A sum exactly on a
+// boundary whose TwoSum residual is zero is a genuine tie and goes to
+// the even pattern inline. Everything else — specials, region scales,
+// products and quotients on a boundary, and a boundary sum with a
+// nonzero residual (only an addend off the format grid makes one) —
+// takes the scalar mulVal/addVal or Div. So bit-identity with the
+// scalar methods holds by construction: the inline cases are
+// roundTables.round's own, and the fallback *is* the scalar path.
 
 func (p *widePosit) DotKernel(x, y []Num) Num {
-	drops := &p.t.dropByE
+	it := p.t.inline
 	y = y[:len(x)]
 	s := 0.0
 	for i := range x {
 		xi, yi := f64(x[i]), f64(y[i])
 		m := xi * yi
-		ab := math.Float64bits(m)
-		sb := ab & signBit64
-		ab ^= sb
-		drop := uint(drops[ab>>52]) & 63
-		mask := uint64(1)<<drop - 1
-		switch {
-		case drop != 0 && ab&mask != mask>>1+1:
-			m = math.Float64frombits(roundBits(ab, mask, 0) | sb)
-		case ab == 0:
+		if r, _, ok := it.round(math.Float64bits(m)); ok {
+			m = math.Float64frombits(r)
+		} else if m == 0 {
 			m = 0
-		default:
+		} else {
 			m = p.mulVal(xi, yi)
 		}
-		r := s + m
-		ab = math.Float64bits(r)
-		sb = ab & signBit64
-		ab ^= sb
-		drop = uint(drops[ab>>52]) & 63
-		mask = uint64(1)<<drop - 1
-		switch {
-		case drop != 0 && ab&mask != mask>>1+1:
-			s = math.Float64frombits(roundBits(ab, mask, 0) | sb)
-		case ab == 0:
+		sum := s + m
+		if r, tie, ok := it.round(math.Float64bits(sum)); ok {
+			s = math.Float64frombits(r)
+		} else if sum == 0 {
 			s = 0
-		default:
+		} else if tie != 0 && sumExact(s, m, sum) {
+			s = math.Float64frombits(r + r&(tie<<1))
+		} else {
 			s = p.addVal(s, m)
 		}
 	}
@@ -193,98 +182,72 @@ func (p *widePosit) DotKernel(x, y []Num) Num {
 func (p *widePosit) AxpyKernel(alpha Num, x, y []Num) { p.MulAddKernel(alpha, x, y, y) }
 
 func (p *widePosit) ScaleKernel(alpha Num, x []Num) {
-	drops := &p.t.dropByE
+	it := p.t.inline
 	a := f64(alpha)
 	for i := range x {
 		xi := f64(x[i])
 		m := a * xi
-		ab := math.Float64bits(m)
-		sb := ab & signBit64
-		ab ^= sb
-		drop := uint(drops[ab>>52]) & 63
-		mask := uint64(1)<<drop - 1
-		switch {
-		case drop != 0 && ab&mask != mask>>1+1:
-			x[i] = Num(roundBits(ab, mask, 0) | sb)
-		case ab == 0:
+		if r, _, ok := it.round(math.Float64bits(m)); ok {
+			x[i] = Num(r)
+		} else if m == 0 {
 			x[i] = 0
-		default:
+		} else {
 			x[i] = n64(p.mulVal(a, xi))
 		}
 	}
 }
 
 func (p *widePosit) MulAddKernel(alpha Num, x, y, dst []Num) {
-	drops := &p.t.dropByE
+	it := p.t.inline
 	a := f64(alpha)
 	y = y[:len(x)]
 	dst = dst[:len(x)]
 	for i := range x {
 		xi := f64(x[i])
 		m := a * xi
-		ab := math.Float64bits(m)
-		sb := ab & signBit64
-		ab ^= sb
-		drop := uint(drops[ab>>52]) & 63
-		mask := uint64(1)<<drop - 1
-		switch {
-		case drop != 0 && ab&mask != mask>>1+1:
-			m = math.Float64frombits(roundBits(ab, mask, 0) | sb)
-		case ab == 0:
+		if r, _, ok := it.round(math.Float64bits(m)); ok {
+			m = math.Float64frombits(r)
+		} else if m == 0 {
 			m = 0
-		default:
+		} else {
 			m = p.mulVal(a, xi)
 		}
 		yi := f64(y[i])
-		r := m + yi
-		ab = math.Float64bits(r)
-		sb = ab & signBit64
-		ab ^= sb
-		drop = uint(drops[ab>>52]) & 63
-		mask = uint64(1)<<drop - 1
-		switch {
-		case drop != 0 && ab&mask != mask>>1+1:
-			dst[i] = Num(roundBits(ab, mask, 0) | sb)
-		case ab == 0:
+		sum := m + yi
+		if r, tie, ok := it.round(math.Float64bits(sum)); ok {
+			dst[i] = Num(r)
+		} else if sum == 0 {
 			dst[i] = 0
-		default:
+		} else if tie != 0 && sumExact(m, yi, sum) {
+			dst[i] = Num(r + r&(tie<<1))
+		} else {
 			dst[i] = n64(p.addVal(m, yi))
 		}
 	}
 }
 
 func (p *widePosit) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
-	drops := &p.t.dropByE
+	it := p.t.inline
 	for i := 0; i+1 < len(rowPtr); i++ {
 		s := 0.0
 		for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
 			vi, xi := f64(val[idx]), f64(x[col[idx]])
 			m := vi * xi
-			ab := math.Float64bits(m)
-			sb := ab & signBit64
-			ab ^= sb
-			drop := uint(drops[ab>>52]) & 63
-			mask := uint64(1)<<drop - 1
-			switch {
-			case drop != 0 && ab&mask != mask>>1+1:
-				m = math.Float64frombits(roundBits(ab, mask, 0) | sb)
-			case ab == 0:
+			if r, _, ok := it.round(math.Float64bits(m)); ok {
+				m = math.Float64frombits(r)
+			} else if m == 0 {
 				m = 0
-			default:
+			} else {
 				m = p.mulVal(vi, xi)
 			}
-			r := s + m
-			ab = math.Float64bits(r)
-			sb = ab & signBit64
-			ab ^= sb
-			drop = uint(drops[ab>>52]) & 63
-			mask = uint64(1)<<drop - 1
-			switch {
-			case drop != 0 && ab&mask != mask>>1+1:
-				s = math.Float64frombits(roundBits(ab, mask, 0) | sb)
-			case ab == 0:
+			sum := s + m
+			if r, tie, ok := it.round(math.Float64bits(sum)); ok {
+				s = math.Float64frombits(r)
+			} else if sum == 0 {
 				s = 0
-			default:
+			} else if tie != 0 && sumExact(s, m, sum) {
+				s = math.Float64frombits(r + r&(tie<<1))
+			} else {
 				s = p.addVal(s, m)
 			}
 		}
@@ -297,21 +260,15 @@ func (p *widePosit) TrailingUpdateKernel(nalpha Num, x, w []Num) {
 }
 
 func (p *widePosit) DivKernel(alpha Num, x []Num) {
-	drops := &p.t.dropByE
+	it := p.t.inline
 	a := f64(alpha)
 	for i := range x {
-		r := f64(x[i]) / a
-		ab := math.Float64bits(r)
-		sb := ab & signBit64
-		ab ^= sb
-		drop := uint(drops[ab>>52]) & 63
-		mask := uint64(1)<<drop - 1
-		switch {
-		case drop != 0 && ab&mask != mask>>1+1:
-			x[i] = Num(roundBits(ab, mask, 0) | sb)
-		case ab == 0:
+		q := f64(x[i]) / a
+		if r, _, ok := it.round(math.Float64bits(q)); ok {
+			x[i] = Num(r)
+		} else if q == 0 {
 			x[i] = 0 // x[i] is zero: posit quotients never underflow float64
-		default:
+		} else {
 			x[i] = p.Div(x[i], alpha)
 		}
 	}

@@ -47,12 +47,9 @@ type Tables struct {
 	// value-ordered for positive floats, so the table is sorted and the
 	// locate step is a binary search over the cuts of the input's
 	// binade (cutByE) — no bit-pattern pipeline anywhere. The kernels
-	// reach it only off their inline paths: region scales, quotient
-	// boundary hits, overflow, and specials.
+	// reach it only off their inline paths: region scales, the IEEE top
+	// binade, quotient boundary hits, and specials.
 	cut []uint64
-	// maxFinBits is math.Float64bits(decode[maxPat]) — the bit-domain
-	// overflow check on the kernel hot paths.
-	maxFinBits uint64
 	// sqrt[p] and recip[p] are the full unary op tables over all
 	// patterns, including negatives and specials: sqrt[p] = Sqrt(p) and
 	// recip[p] = Div(One, p) in the exact pipeline.
@@ -67,13 +64,8 @@ type Tables struct {
 	fb       []int8
 	patBase  []uint16
 
-	// dropByE[e] for a float64 biased exponent e: the number of
-	// mantissa bits to discard when rounding a magnitude with that
-	// exponent, or 0 for scales the hot path must not handle inline
-	// (specials, region scales, out of range). Derived from fb; indexes
-	// the raw exponent field directly so the kernel loops do one load
-	// instead of a range check plus a signed index.
-	dropByE [2048]uint8
+	// inline is the inline rounding step (exact.go), built from fb.
+	inline *inlineTable
 	// cutByE[e] for a float64 biased exponent e (0..2048) is the
 	// pattern the binade's first magnitude e<<52 lies in: the largest p
 	// with cut[p] <= e<<52. Every magnitude of binade e lies in a
@@ -88,11 +80,11 @@ type Tables struct {
 // finalize derives the redundant hot-path tables; both builders call
 // it last.
 func (t *Tables) finalize() {
-	for i, b := range t.fb {
-		if b >= 1 {
-			t.dropByE[t.minScale+i+1023] = uint8(52 - int(b))
-		}
+	fb := t.fb
+	if t.ieee {
+		fb = fb[:len(fb)-1] // the top binade can round past maxFinite: roundFrom decides it
 	}
+	t.inline = newInlineTable(t.minScale, fb)
 	p := 0
 	for e := range t.cutByE {
 		first := uint64(e) << 52
@@ -142,7 +134,6 @@ func buildPositTables(c posit.Config) *Tables {
 	// Posits never round a real result past maxpos (clamp, not NaR),
 	// so the overflow threshold sits at infinity.
 	t.cut[t.maxPat+1] = math.Float64bits(math.Inf(1))
-	t.maxFinBits = math.Float64bits(t.decode[t.maxPat])
 	t.sqrt = make([]uint16, size)
 	t.recip = make([]uint16, size)
 	one := c.One()
@@ -196,7 +187,6 @@ func buildMiniTables(f minifloat.Format) *Tables {
 	// side, which is the Inf pattern).
 	maxS := f.Emax()
 	t.cut[t.maxPat+1] = math.Float64bits((t.decode[t.maxPat] + math.Ldexp(1, maxS+1)) / 2)
-	t.maxFinBits = math.Float64bits(t.decode[t.maxPat])
 	t.sqrt = make([]uint16, size)
 	t.recip = make([]uint16, size)
 	one := f.One()
