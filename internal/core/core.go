@@ -196,9 +196,10 @@ func (c Config) resolve() (arith.Format, error) {
 // validated Config. solver is "cg", "cholesky" or "ir", in any case and
 // with surrounding space; format an arith registry name. rescale selects
 // the solver's power-of-two preparation: the ∞-norm scaling for cg
-// (Fig. 7), Algorithm 3 for cholesky (Fig. 9); ir ignores it. higham
-// selects Algorithms 4–5 for ir (Table III); cg and cholesky ignore it.
-// tol and maxIter are Config's Tol and MaxIter.
+// (Fig. 7), Algorithm 3 for cholesky (Fig. 9). higham selects
+// Algorithms 4–5 for ir (Table III). A preparation the solver does not
+// take — rescale with ir, higham with cg or cholesky — is an error
+// naming both. tol and maxIter are Config's Tol and MaxIter.
 func ParseConfig(solver, format string, rescale, higham bool, tol float64, maxIter int) (Config, error) {
 	if _, err := arith.ByName(format); err != nil {
 		return Config{}, err
@@ -209,6 +210,10 @@ func ParseConfig(solver, format string, rescale, higham bool, tol float64, maxIt
 	}
 	cfg := Config{Format: format, Method: m, Tol: tol, MaxIter: maxIter}
 	switch {
+	case rescale && m == MethodMixedIR:
+		return Config{}, fmt.Errorf("solver ir does not take rescale (ir scales with higham)")
+	case higham && m != MethodMixedIR:
+		return Config{}, fmt.Errorf("solver %s does not take higham (only ir does)", m)
 	case rescale && m == MethodCG:
 		cfg.Rescale = RescaleInfNormPow2
 	case rescale && m == MethodCholesky:

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"positlab/internal/arith"
@@ -161,10 +162,10 @@ func TestParseConfig(t *testing.T) {
 		rescale, higham bool
 		want            core.Config
 	}{
-		{" CG ", false, true, core.Config{Method: core.MethodCG}},
+		{" CG ", false, false, core.Config{Method: core.MethodCG}},
 		{"cg", true, false, core.Config{Method: core.MethodCG, Rescale: core.RescaleInfNormPow2}},
-		{"Cholesky", true, true, core.Config{Method: core.MethodCholesky, Rescale: core.RescaleDiagAvg}},
-		{"ir", true, false, core.Config{Method: core.MethodMixedIR}},
+		{"Cholesky", true, false, core.Config{Method: core.MethodCholesky, Rescale: core.RescaleDiagAvg}},
+		{"ir", false, false, core.Config{Method: core.MethodMixedIR}},
 		{"ir", false, true, core.Config{Method: core.MethodMixedIR, Rescale: core.RescaleHigham}},
 	} {
 		got, err := core.ParseConfig(c.solver, "posit16es1", c.rescale, c.higham, 1e-6, 7)
@@ -181,6 +182,25 @@ func TestParseConfig(t *testing.T) {
 	} {
 		if cfg, err := parse(); err == nil {
 			t.Errorf("%s accepted: %+v", name, cfg)
+		}
+	}
+	// A preparation the solver does not take is refused, naming both.
+	for _, c := range []struct {
+		solver, flag    string
+		rescale, higham bool
+	}{
+		{" CG ", "higham", false, true},
+		{"cg", "higham", true, true},
+		{"Cholesky", "higham", true, true},
+		{"cholesky", "higham", false, true},
+		{"ir", "rescale", true, false},
+		{"IR", "rescale", true, true},
+	} {
+		cfg, err := core.ParseConfig(c.solver, "posit16es1", c.rescale, c.higham, 0, 0)
+		name := strings.ToLower(strings.TrimSpace(c.solver))
+		if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("ParseConfig(%q, rescale %v, higham %v) = %+v, %v; want an error naming %s and %s",
+				c.solver, c.rescale, c.higham, cfg, err, name, c.flag)
 		}
 	}
 }

@@ -89,13 +89,16 @@ func TestDiagnoseEndpoint(t *testing.T) {
 func TestDiagnoseEndpointValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for name, body := range map[string]string{
-		"unknown format": `{"matrix":"bcsstk01","solver":"cg","format":"posit99"}`,
-		"unknown matrix": `{"matrix":"nope","solver":"cg","format":"posit16es1"}`,
-		"unknown solver": `{"matrix":"bcsstk01","solver":"lu","format":"posit16es1"}`,
-		"no system":      `{"solver":"cg","format":"posit16es1"}`,
-		"negative tol":   `{"matrix":"bcsstk01","solver":"cg","format":"posit16es1","tol":-1}`,
-		"negative iters": `{"matrix":"bcsstk01","solver":"ir","format":"posit16es1","max_iter":-1}`,
-		"empty upload":   `{"matrix_market":"%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n","solver":"cg","format":"posit16es1"}`,
+		"unknown format":       `{"matrix":"bcsstk01","solver":"cg","format":"posit99"}`,
+		"unknown matrix":       `{"matrix":"nope","solver":"cg","format":"posit16es1"}`,
+		"unknown solver":       `{"matrix":"bcsstk01","solver":"lu","format":"posit16es1"}`,
+		"no system":            `{"solver":"cg","format":"posit16es1"}`,
+		"negative tol":         `{"matrix":"bcsstk01","solver":"cg","format":"posit16es1","tol":-1}`,
+		"negative iters":       `{"matrix":"bcsstk01","solver":"ir","format":"posit16es1","max_iter":-1}`,
+		"empty upload":         `{"matrix_market":"%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n","solver":"cg","format":"posit16es1"}`,
+		"higham with cg":       `{"matrix":"bcsstk01","solver":"cg","format":"posit32es2","rescale":true,"higham":true}`,
+		"higham with cholesky": `{"matrix":"bcsstk01","solver":"cholesky","format":"posit16es1","higham":true}`,
+		"rescale with ir":      `{"matrix":"bcsstk01","solver":"ir","format":"posit16es1","rescale":true}`,
 	} {
 		resp := post(t, ts.URL+"/v1/diagnose", body)
 		if b := readBody(t, resp); resp.StatusCode != 400 {

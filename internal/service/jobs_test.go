@@ -156,6 +156,9 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"bad format", `{"solve":{"matrix":"bcsstk01","solver":"cg","format":"float99"}}`},
 		{"bad system", `{"solve":{"matrix":"nope","solver":"cg","format":"float32"}}`},
 		{"negative tol", `{"solve":{"matrix":"bcsstk01","solver":"cg","format":"float32","tol":-1}}`},
+		{"higham with cg", `{"solve":{"matrix":"bcsstk01","solver":"cg","format":"float32","higham":true}}`},
+		{"higham with cholesky", `{"solve":{"matrix":"bcsstk01","solver":"cholesky","format":"float32","higham":true}}`},
+		{"rescale with ir", `{"solve":{"matrix":"bcsstk01","solver":"ir","format":"float16","rescale":true}}`},
 	}
 	for _, c := range cases {
 		resp := post(t, ts.URL+"/v1/jobs", c.body)

@@ -253,6 +253,9 @@ func TestSolveBadRequests(t *testing.T) {
 		{"negative tol cg", `{"matrix":"bcsstk01","solver":"cg","format":"float32","tol":-1}`},
 		{"negative tol ir", `{"matrix":"bcsstk01","solver":"ir","format":"float16","tol":-1}`},
 		{"negative max_iter", `{"matrix":"bcsstk01","solver":"cg","format":"float32","max_iter":-1}`},
+		{"higham with cg", `{"matrix":"bcsstk01","solver":" CG ","format":"Posit(32,2)","higham":true}`},
+		{"higham with cholesky", `{"matrix":"bcsstk01","solver":"cholesky","format":"float32","rescale":true,"higham":true}`},
+		{"rescale with ir", `{"matrix":"bcsstk01","solver":"ir","format":"bfloat16","higham":true,"rescale":true}`},
 	}
 	for _, c := range cases {
 		resp := post(t, ts.URL+"/v1/solve", c.body)
