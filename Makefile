@@ -22,12 +22,13 @@ vet:
 build:
 	$(GO) build ./...
 
-# Fail, naming the function, when a rounding helper that the fast
-# engines' kernel loops call on their common path is no longer
-# inlinable: past Go's inline budget it becomes a call per element.
-# A method is listed as T.name and matched as the compiler prints a
-# pointer-receiver method, (*T).name.
-INLINE_HELPERS := inlineTable.round sumTieUp
+# Fail, naming the function, when a helper that the fast format's
+# kernel loops or scalar operations call on their common path is no
+# longer inlinable: past Go's inline budget it becomes a call per
+# element or per operation. fastFormat.table is the lazy engine check
+# that every operation makes. A method is listed as T.name and matched
+# as the compiler prints a pointer-receiver method, (*T).name.
+INLINE_HELPERS := inlineTable.round sumExact fastFormat.table
 
 inline:
 	@out=$$($(GO) build -gcflags=-m ./internal/arith 2>&1) || { echo "$$out"; exit 1; }; \

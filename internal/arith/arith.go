@@ -254,9 +254,7 @@ func PositConfig(f Format) (posit.Config, bool) {
 	switch pf := f.(type) {
 	case positFormat:
 		return pf.c, true
-	case *widePosit:
-		return pf.c, true
-	case *tableFormat:
+	case *fastFormat:
 		c, ok := pf.id.(posit.Config)
 		return c, ok
 	}
@@ -272,7 +270,7 @@ func MiniConfig(f Format) (minifloat.Format, bool) {
 	switch mf := f.(type) {
 	case miniFormat:
 		return mf.f, true
-	case *tableFormat:
+	case *fastFormat:
 		m, ok := mf.id.(minifloat.Format)
 		return m, ok
 	}

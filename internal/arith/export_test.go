@@ -2,31 +2,41 @@ package arith
 
 import "positlab/internal/posit"
 
-// Test hooks into the table registry. They exist so the differential
+// Test hooks into the engine registry. They exist so the differential
 // and registry tests can exercise unexported machinery (build
 // counting, registry-bypassing builds) without widening the public
 // API.
 
-// TableBuildCount reports the number of from-scratch table builds this
-// process has performed.
-func TableBuildCount() uint64 { return tableBuilds.Load() }
+// TableBuildCount reports the number of from-scratch engine builds
+// this process has performed, table engines and wide posits alike.
+func TableBuildCount() uint64 { return engineBuilds.Load() }
 
 // PositTableSpec exposes the registry key of a posit config.
 func PositTableSpec(c posit.Config) string { return positSpec(c) }
 
 // ForgetTablesForTest deletes spec's registry entry, so the next first
-// use of a new format value of spec builds its tables again. A test
+// use of a new format value of spec builds its engine again. A test
 // that counts builds calls it first, so it passes under -count=N too.
 func ForgetTablesForTest(spec string) {
-	tableReg.Lock()
-	delete(tableReg.m, spec)
-	tableReg.Unlock()
+	engineReg.Lock()
+	delete(engineReg.m, spec)
+	engineReg.Unlock()
+}
+
+// EngineForTest returns the engine that the fast format f holds, or
+// nil before f's first operation.
+func EngineForTest(f Format) any {
+	k := f.(*fastFormat)
+	if k.inline.Load() == nil {
+		return nil
+	}
+	return k.eng
 }
 
 // BuildTablesForTest runs a from-scratch build of the tables behind a
 // table-backed fast format, bypassing the registry (the table-build
 // benchmarks time it).
-func BuildTablesForTest(f Format) *Tables { return f.(*tableFormat).lt.build() }
+func BuildTablesForTest(f Format) *Tables { return f.(*fastFormat).build().(*Tables) }
 
 // CutsForTest exposes the rounding-boundary table: cut[p] is the
 // magnitude where patterns p-1 and p meet.

@@ -2,6 +2,8 @@ package arith
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"positlab/internal/bigfp"
 	"positlab/internal/minifloat"
@@ -17,44 +19,52 @@ import (
 // the format's value set — several times faster than the
 // integer-pipeline formats, which matters on the O(n³) factorizations.
 //
-// Each format has exactly one fast implementation, chosen by its width
-// in FastPosit and FastMini:
+// Every such format is one type, fastFormat. Its scalar operations
+// (below) and its slice kernels (kernels.go) round each result through
+// the inline step, inlineTable.round (exact.go), and hand what the step
+// leaves to the format's engine. The engine is chosen by width in
+// FastPosit and FastMini, and built on first use through the per-spec
+// registry in tablereg.go:
 //
 //   - formats of at most 16 bits (every posit8 and posit16, Float16,
-//     BFloat16, FP8) run on the exhaustive lookup-table engine,
-//     tableFormat (exact.go);
-//   - posits wider than 16 bits run on widePosit below, which
-//     re-rounds through per-scale roundTables.
+//     BFloat16, FP8) get the exhaustive lookup tables, Tables
+//     (table.go, exact.go);
+//   - posits wider than 16 bits get roundTables below, per-scale region
+//     tables with the integer pipeline as the last resort.
 //
-// widePosit preserves correct rounding exactly. The hazard of computing
-// through float64 is double rounding: the float64-rounded result of an
-// operation may round differently than the exact result would. It can
-// only do so when it lands exactly on a rounding boundary of the
-// target format. Every such boundary of a posit of at most 32 bits is
-// itself a float64 value, and the float64 result r is the float64
-// nearest the exact result; so when r is not on a boundary B, the
-// exact result is on r's side of B, and rounding r rounds the exact
-// result. Only a result exactly on a boundary leaves the inline path,
-// and resolves by an exact residual or the integer pipeline (see
-// roundTables.round). The fast path is bit-identical to the slow path,
-// which differential tests assert.
+// Rounding through float64 preserves correct rounding exactly. The
+// hazard is double rounding: the float64-rounded result of an operation
+// may round differently than the exact result would. It can only do so
+// when it lands exactly on a rounding boundary of the target format.
+// Every such boundary of a format in this study is itself a float64
+// value, and the float64 result r is the float64 nearest the exact
+// result; so when r is not on a boundary B, the exact result is on r's
+// side of B, and rounding r rounds the exact result. Only a result
+// exactly on a boundary needs more than r: a sum whose TwoSum residual
+// is zero is a genuine tie, which the format settles itself, and every
+// other hit goes to the engine, which resolves it by an exact residual,
+// a table, or the integer pipeline. The fast path is bit-identical to
+// the slow path, which differential tests assert.
 
 // FastPosit builds the fast implementation of a posit format. It is
 // bit-compatible with Posit(c) in results; only the Num encoding
 // differs (float64 value bits instead of posit patterns).
 func FastPosit(c posit.Config) Format {
+	f := &fastFormat{
+		name:     c.String(),
+		id:       c,
+		eps:      positEps(c),
+		maxValue: c.ToFloat64(c.MaxPos()),
+		spec:     positSpec(c),
+	}
 	if c.N() <= 16 {
 		// Every posit with n <= 16 is exact-product eligible: at most
 		// 14 significand bits and |scale| <= 224 (see exact.go).
-		return &tableFormat{
-			lt:       lazyTables{spec: positSpec(c), build: func() *Tables { return buildPositTables(c) }},
-			name:     c.String(),
-			id:       c,
-			eps:      positEps(c),
-			maxValue: c.ToFloat64(c.MaxPos()),
-		}
+		f.build = func() engine { return buildPositTables(c) }
+	} else {
+		f.build = func() engine { return newRoundTables(c) }
 	}
-	return newWidePosit(c)
+	return f
 }
 
 // FastMini builds the fast implementation of an IEEE small format,
@@ -65,12 +75,14 @@ func FastMini(f minifloat.Format, name string) Format {
 	if !exactEligibleMini(f) {
 		return Mini(f, name)
 	}
-	return &tableFormat{
-		lt:       lazyTables{spec: miniSpec(f), build: func() *Tables { return buildMiniTables(f) }},
+	return &fastFormat{
 		name:     name,
 		id:       f,
+		ieee:     true,
 		eps:      miniEps(f),
 		maxValue: f.MaxValue(),
+		spec:     miniSpec(f),
+		build:    func() engine { return buildMiniTables(f) },
 	}
 }
 
@@ -86,9 +98,203 @@ func exactEligibleMini(f minifloat.Format) bool {
 		2*(f.Emin()-frac) >= -1020
 }
 
-// roundTables drives value-domain rounding for one posit format wider
-// than 16 bits.
+// fastFormat is the fast implementation of a format: its Num is the
+// value as float64 bits, and every operation rounds through the inline
+// step of the format's engine, calling the engine for what the step
+// leaves.
+type fastFormat struct {
+	name string
+	// id is the format's identity, a posit.Config or a
+	// minifloat.Format, for PositConfig and MiniConfig.
+	id any
+	// ieee marks the IEEE formats, which keep a signed zero and
+	// infinities; a posit has one zero and NaR.
+	ieee          bool
+	eps, maxValue float64
+
+	// spec is the engine's registry identity and build makes it.
+	spec  string
+	build func() engine
+	once  sync.Once
+	// inline is the engine's inline table, stored once eng is set, so
+	// a caller that loaded a non-nil inline may read eng.
+	inline atomic.Pointer[inlineTable]
+	eng    engine
+}
+
+// engine is what a fast format calls for a result its inline step
+// does not round: each method returns the rounded value of a result r,
+// given the operands it came from.
+type engine interface {
+	// table returns the engine's inline step.
+	table() *inlineTable
+	// exact rounds an exact value, FromFloat64's argument.
+	exact(x float64) float64
+	// mul, sum, quo and root round r = fl(x·y), fl(x+y), fl(x/y) and
+	// fl(√x).
+	mul(x, y, r float64) float64
+	sum(x, y, r float64) float64
+	quo(x, y, r float64) float64
+	root(x, r float64) float64
+}
+
+// table returns f's inline table, building f's engine on first use.
+// After the first use it is one atomic load and a nil check, small
+// enough to inline into every operation (make inline checks that).
+func (f *fastFormat) table() *inlineTable {
+	if t := f.inline.Load(); t != nil {
+		return t
+	}
+	return f.load()
+}
+
+// load sets f's engine from the registry, which builds it if no format
+// value of f's spec has.
+func (f *fastFormat) load() *inlineTable {
+	f.once.Do(func() {
+		f.eng = engineFor(f.spec, f.build)
+		f.inline.Store(f.eng.table())
+	})
+	return f.inline.Load()
+}
+
+// TablesOf returns the lookup-table engine behind f and whether f has
+// one (the <=16-bit fast formats), building f's engine on first use.
+// Callers like positd's /v1/convert use it for O(1) canonical
+// encodings.
+func TablesOf(f Format) (*Tables, bool) {
+	if k, ok := f.(*fastFormat); ok {
+		k.table()
+		t, ok := k.eng.(*Tables)
+		return t, ok
+	}
+	return nil, false
+}
+
+// --- scalar operations ---
+//
+// Each op: native float64 arithmetic, then the inline step, then — for
+// a sum — the genuine tie of a zero TwoSum residual, and the engine for
+// anything else. The slice kernels (kernels.go) take the same steps,
+// with a shortcut for zero results.
+
+func (f *fastFormat) Name() string { return f.name }
+
+// FromFloat64 rounds x, which is its own exact value: a boundary hit is
+// a genuine tie.
+func (f *fastFormat) FromFloat64(x float64) Num {
+	if r, _, ok := f.table().round(math.Float64bits(x)); ok {
+		return Num(r)
+	}
+	return n64(f.eng.exact(x))
+}
+
+func (f *fastFormat) ToFloat64(a Num) float64 { return f64(a) }
+
+// mul and add are Mul and Add in the value domain, for the scalar
+// operations that compose them.
+func (f *fastFormat) mul(x, y float64) float64 {
+	m := x * y
+	if r, _, ok := f.table().round(math.Float64bits(m)); ok {
+		return math.Float64frombits(r)
+	}
+	return f.eng.mul(x, y, m)
+}
+
+func (f *fastFormat) add(x, y float64) float64 {
+	s := x + y
+	r, tie, ok := f.table().round(math.Float64bits(s))
+	if ok {
+		return math.Float64frombits(r)
+	}
+	if tie != 0 && sumExact(x, y, s) {
+		return math.Float64frombits(r + r&(tie<<1))
+	}
+	return f.eng.sum(x, y, s)
+}
+
+func (f *fastFormat) Add(a, b Num) Num { return n64(f.add(f64(a), f64(b))) }
+
+// Sub(a, b) = Add(a, -b): rounding is sign-symmetric and -b is exact.
+func (f *fastFormat) Sub(a, b Num) Num { return n64(f.add(f64(a), -f64(b))) }
+
+func (f *fastFormat) Mul(a, b Num) Num { return n64(f.mul(f64(a), f64(b))) }
+
+// MulAdd fuses the pair in the value domain: product rounded, then sum
+// rounded — bit-identical to Add(Mul(a, b), c) with one dispatch.
+func (f *fastFormat) MulAdd(a, b, c Num) Num {
+	return n64(f.add(f.mul(f64(a), f64(b)), f64(c)))
+}
+
+func (f *fastFormat) Div(a, b Num) Num {
+	x, y := f64(a), f64(b)
+	q := x / y
+	if r, _, ok := f.table().round(math.Float64bits(q)); ok {
+		return Num(r)
+	}
+	return n64(f.eng.quo(x, y, q))
+}
+
+func (f *fastFormat) Sqrt(a Num) Num {
+	x := f64(a)
+	r := math.Sqrt(x)
+	if v, _, ok := f.table().round(math.Float64bits(r)); ok {
+		return Num(v)
+	}
+	return n64(f.eng.root(x, r))
+}
+
+func (f *fastFormat) Neg(a Num) Num {
+	v := -f64(a)
+	if v == 0 && !f.ieee {
+		v = 0 // posit has a single (positive) zero
+	}
+	return n64(v)
+}
+
+func (f *fastFormat) Zero() Num         { return n64(0) }
+func (f *fastFormat) One() Num          { return n64(1) }
+func (f *fastFormat) IsZero(a Num) bool { return f64(a) == 0 }
+
+// Bad reports NaN/NaR or an IEEE infinity; a posit never holds an
+// infinity.
+func (f *fastFormat) Bad(a Num) bool {
+	v := f64(a)
+	return math.IsNaN(v) || math.IsInf(v, 0)
+}
+func (f *fastFormat) Less(a, b Num) bool { return f64(a) < f64(b) }
+func (f *fastFormat) Eps() float64       { return f.eps }
+func (f *fastFormat) MaxValue() float64  { return f.maxValue }
+
+// sumExact reports whether r = x + y held exactly in float64 (TwoSum
+// residual is zero).
+func sumExact(x, y, r float64) bool {
+	bv := r - x
+	return (x-(r-bv))+(y-bv) == 0
+}
+
+// mulExact reports whether r = x * y held exactly in float64.
+func mulExact(x, y, r float64) bool {
+	return math.FMA(x, y, -r) == 0
+}
+
+// divExact reports whether r = x / y held exactly in float64.
+func divExact(x, y, r float64) bool {
+	return math.FMA(r, y, -x) == 0
+}
+
+// sqrtExact reports whether r = sqrt(x) held exactly in float64.
+func sqrtExact(x, r float64) bool {
+	return math.FMA(r, r, -x) == 0
+}
+
+// --- wide posits ---
+
+// roundTables is the engine of a posit wider than 16 bits: value-domain
+// rounding with explicit region tables, and the integer pipeline for a
+// result on a boundary that is not the exact result.
 type roundTables struct {
+	c        posit.Config
 	minScale int // scale of minpos
 	maxScale int // scale of maxpos
 	// inline is the inline rounding step (exact.go), with entries at the
@@ -102,6 +308,62 @@ type roundTables struct {
 	downOdd       []bool
 	minPosV       float64 // minpos: underflow clamps here
 	maxFinV       float64 // maxpos: overflow clamps here
+}
+
+func newRoundTables(c posit.Config) *roundTables {
+	t := &roundTables{
+		c:        c,
+		minScale: c.MinScale(),
+		maxScale: c.MaxScale(),
+		minPosV:  c.ToFloat64(c.MinPos()),
+		maxFinV:  c.ToFloat64(c.MaxPos()),
+	}
+	n := t.maxScale - t.minScale + 1
+	t.down = make([]float64, n)
+	t.up = make([]float64, n)
+	t.mid = make([]float64, n)
+	t.downOdd = make([]bool, n)
+	fb := make([]int8, n)
+	for s := t.minScale; s <= t.maxScale; s++ {
+		i := s - t.minScale
+		if fb[i] = int8(rawFracBits(c, s)); fb[i] >= 1 {
+			continue
+		}
+		// Largest posit <= 2^s.
+		p := c.FromFloat64(math.Ldexp(1, s))
+		if c.ToFloat64(p) > math.Ldexp(1, s) {
+			p = c.Prev(p)
+		}
+		t.down[i] = c.ToFloat64(p)
+		if p == c.MaxPos() {
+			t.up[i] = math.Inf(1)
+		} else {
+			t.up[i] = c.ToFloat64(c.Next(p))
+		}
+		// Pattern-space midpoint: the (n+1)-bit posit 2p+1.
+		mv := bigfp.PatternValue(c.N()+1, c.ES(), uint64(p)*2+1)
+		t.mid[i], _ = mv.Float64()
+		t.downOdd[i] = uint64(p)&1 == 1
+	}
+	t.inline = newInlineTable(t.minScale, fb)
+	return t
+}
+
+// rawFracBits is FracBitsAtScale without the clamp at zero: negative
+// values count exponent bits cut off by the regime.
+func rawFracBits(c posit.Config, scale int) int {
+	pow := 1 << uint(c.ES())
+	k := scale / pow
+	if scale%pow != 0 && scale < 0 {
+		k--
+	}
+	var rlen int
+	if k >= 0 {
+		rlen = k + 2
+	} else {
+		rlen = -k + 1
+	}
+	return c.N() - 1 - rlen - c.ES()
 }
 
 // round rounds a float64 to the posit's value set with round-to-
@@ -181,193 +443,59 @@ func signed(v float64, neg bool) float64 {
 	return v
 }
 
-// sumExact reports whether r = x + y held exactly in float64 (TwoSum
-// residual is zero).
-func sumExact(x, y, r float64) bool {
-	bv := r - x
-	return (x-(r-bv))+(y-bv) == 0
+func (t *roundTables) table() *inlineTable { return t.inline }
+
+func (t *roundTables) exact(x float64) float64 {
+	v, _ := t.round(x, true)
+	return v
 }
 
-// mulExact reports whether r = x * y held exactly in float64.
-func mulExact(x, y, r float64) bool {
-	return math.FMA(x, y, -r) == 0
-}
+// mul, sum, quo and root round r first; r on a boundary is the exact
+// result when the residual is zero, a genuine tie, and otherwise the
+// integer pipeline decides, from the operands as the format holds them.
 
-// divExact reports whether r = x / y held exactly in float64.
-func divExact(x, y, r float64) bool {
-	return math.FMA(r, y, -x) == 0
-}
-
-// sqrtExact reports whether r = sqrt(x) held exactly in float64.
-func sqrtExact(x, r float64) bool {
-	return math.FMA(r, r, -x) == 0
-}
-
-// --- wide posits ---
-
-// widePosit is the fast implementation of a posit wider than 16 bits:
-// float64 arithmetic re-rounded through roundTables, with the integer
-// pipeline as the escape for results exactly on a boundary.
-type widePosit struct {
-	c posit.Config
-	t *roundTables
-}
-
-func newWidePosit(c posit.Config) *widePosit {
-	t := &roundTables{
-		minScale: c.MinScale(),
-		maxScale: c.MaxScale(),
-		minPosV:  c.ToFloat64(c.MinPos()),
-		maxFinV:  c.ToFloat64(c.MaxPos()),
-	}
-	n := t.maxScale - t.minScale + 1
-	t.down = make([]float64, n)
-	t.up = make([]float64, n)
-	t.mid = make([]float64, n)
-	t.downOdd = make([]bool, n)
-	fb := make([]int8, n)
-	for s := t.minScale; s <= t.maxScale; s++ {
-		i := s - t.minScale
-		if fb[i] = int8(rawFracBits(c, s)); fb[i] >= 1 {
-			continue
-		}
-		// Largest posit <= 2^s.
-		p := c.FromFloat64(math.Ldexp(1, s))
-		if c.ToFloat64(p) > math.Ldexp(1, s) {
-			p = c.Prev(p)
-		}
-		t.down[i] = c.ToFloat64(p)
-		if p == c.MaxPos() {
-			t.up[i] = math.Inf(1)
-		} else {
-			t.up[i] = c.ToFloat64(c.Next(p))
-		}
-		// Pattern-space midpoint: the (n+1)-bit posit 2p+1.
-		mv := bigfp.PatternValue(c.N()+1, c.ES(), uint64(p)*2+1)
-		t.mid[i], _ = mv.Float64()
-		t.downOdd[i] = uint64(p)&1 == 1
-	}
-	t.inline = newInlineTable(t.minScale, fb)
-	return &widePosit{c: c, t: t}
-}
-
-// rawFracBits is FracBitsAtScale without the clamp at zero: negative
-// values count exponent bits cut off by the regime.
-func rawFracBits(c posit.Config, scale int) int {
-	pow := 1 << uint(c.ES())
-	k := scale / pow
-	if scale%pow != 0 && scale < 0 {
-		k--
-	}
-	var rlen int
-	if k >= 0 {
-		rlen = k + 2
-	} else {
-		rlen = -k + 1
-	}
-	return c.N() - 1 - rlen - c.ES()
-}
-
-func (p *widePosit) Name() string { return p.c.String() }
-
-func (p *widePosit) FromFloat64(x float64) Num {
-	// An external float64 is its own exact value: ties are genuine.
-	v, _ := p.t.round(x, true)
-	return n64(v)
-}
-
-func (p *widePosit) ToFloat64(a Num) float64 { return f64(a) }
-
-// exact2 reruns a binary operation through the integer pipeline.
-func (p *widePosit) exact2(op func(posit.Config, posit.Bits, posit.Bits) posit.Bits, a, b float64) Num {
-	r := op(p.c, p.c.FromFloat64(a), p.c.FromFloat64(b))
-	return n64(p.c.ToFloat64(r))
-}
-
-// addVal and mulVal are Add and Mul in the value domain (float64 in,
-// float64 out): the scalar operations, and the slice kernels' way off
-// their inline paths, so both round identically by construction.
-func (p *widePosit) addVal(x, y float64) float64 {
-	r := x + y
-	if v, ok := p.t.round(r, false); ok {
-		return v
-	}
-	if sumExact(x, y, r) {
-		v, _ := p.t.round(r, true)
-		return v
-	}
-	return f64(p.exact2(posit.Config.Add, x, y))
-}
-
-func (p *widePosit) mulVal(x, y float64) float64 {
-	r := x * y
-	if v, ok := p.t.round(r, false); ok {
+func (t *roundTables) mul(x, y, r float64) float64 {
+	if v, ok := t.round(r, false); ok {
 		return v
 	}
 	if mulExact(x, y, r) {
-		v, _ := p.t.round(r, true)
+		return t.exact(r)
+	}
+	c := t.c
+	return c.ToFloat64(c.Mul(c.FromFloat64(x), c.FromFloat64(y)))
+}
+
+func (t *roundTables) sum(x, y, r float64) float64 {
+	if v, ok := t.round(r, false); ok {
 		return v
 	}
-	return f64(p.exact2(posit.Config.Mul, x, y))
-}
-
-func (p *widePosit) Add(a, b Num) Num { return n64(p.addVal(f64(a), f64(b))) }
-
-// Sub(a, b) = Add(a, -b): rounding is sign-symmetric and -b is exact.
-func (p *widePosit) Sub(a, b Num) Num { return n64(p.addVal(f64(a), -f64(b))) }
-
-func (p *widePosit) Mul(a, b Num) Num { return n64(p.mulVal(f64(a), f64(b))) }
-
-// MulAdd fuses the pair in the value domain: product rounded, then sum
-// rounded — bit-identical to Add(Mul(a, b), c) with one dispatch.
-func (p *widePosit) MulAdd(a, b, c Num) Num {
-	return n64(p.addVal(p.mulVal(f64(a), f64(b)), f64(c)))
-}
-
-func (p *widePosit) Div(a, b Num) Num {
-	x, y := f64(a), f64(b)
-	if y == 0 {
-		return n64(math.NaN()) // posit: division by zero is NaR
+	if sumExact(x, y, r) {
+		return t.exact(r)
 	}
-	r := x / y
-	if v, ok := p.t.round(r, false); ok {
-		return n64(v)
+	c := t.c
+	return c.ToFloat64(c.Add(c.FromFloat64(x), c.FromFloat64(y)))
+}
+
+// quo needs no case for y = 0: x/0 is ±Inf or NaN, which round makes
+// NaR, as posit division by zero is.
+func (t *roundTables) quo(x, y, r float64) float64 {
+	if v, ok := t.round(r, false); ok {
+		return v
 	}
 	if divExact(x, y, r) {
-		v, _ := p.t.round(r, true)
-		return n64(v)
+		return t.exact(r)
 	}
-	return p.exact2(posit.Config.Div, x, y)
+	c := t.c
+	return c.ToFloat64(c.Div(c.FromFloat64(x), c.FromFloat64(y)))
 }
 
-func (p *widePosit) Sqrt(a Num) Num {
-	x := f64(a)
-	if x < 0 {
-		return n64(math.NaN())
-	}
-	r := math.Sqrt(x)
-	if v, ok := p.t.round(r, false); ok {
-		return n64(v)
+func (t *roundTables) root(x, r float64) float64 {
+	if v, ok := t.round(r, false); ok {
+		return v
 	}
 	if sqrtExact(x, r) {
-		v, _ := p.t.round(r, true)
-		return n64(v)
+		return t.exact(r)
 	}
-	rp := p.c.Sqrt(p.c.FromFloat64(x))
-	return n64(p.c.ToFloat64(rp))
+	c := t.c
+	return c.ToFloat64(c.Sqrt(c.FromFloat64(x)))
 }
-
-func (p *widePosit) Neg(a Num) Num {
-	v := -f64(a)
-	if v == 0 {
-		v = 0 // posit has a single (positive) zero
-	}
-	return n64(v)
-}
-func (p *widePosit) Zero() Num          { return n64(0) }
-func (p *widePosit) One() Num           { return n64(1) }
-func (p *widePosit) IsZero(a Num) bool  { return f64(a) == 0 }
-func (p *widePosit) Bad(a Num) bool     { return math.IsNaN(f64(a)) }
-func (p *widePosit) Less(a, b Num) bool { return f64(a) < f64(b) }
-func (p *widePosit) Eps() float64       { return positEps(p.c) }
-func (p *widePosit) MaxValue() float64  { return p.t.maxFinV }

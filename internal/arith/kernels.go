@@ -15,9 +15,9 @@ import "math"
 // rounding) but never the roundings themselves, which the differential
 // tests in kernels_test.go assert format by format.
 //
-// Every fast format implements BulkFormat on its own engine: the
-// lookup-table formats in exact.go, the wide posits and the native
-// float64/float32 below, and the Observe wrapper forwards to them.
+// The fast value-domain formats (one set of loops for both of their
+// engines) and the native float64/float32 implement BulkFormat below,
+// and the Observe wrapper forwards to them.
 // Callers obtain kernels through BulkOf, which falls back to a generic
 // scalar implementation so every Format — including the slow
 // integer-pipeline references — works unchanged.
@@ -136,21 +136,28 @@ func (s scalarKernels) DivKernel(alpha Num, x []Num) {
 	}
 }
 
-// --- value-domain kernels (posits wider than 16 bits) ---
+// --- fast-format kernels ---
 //
-// widePosit's inner loops compute in float64 and round every result
-// through the inline step, inlineTable.round, as the table engine's
-// loops do. A zero result is the one posit zero. A sum exactly on a
-// boundary whose TwoSum residual is zero is a genuine tie and goes to
-// the even pattern inline. Everything else — specials, region scales,
-// products and quotients on a boundary, and a boundary sum with a
-// nonzero residual (only an addend off the format grid makes one) —
-// takes the scalar mulVal/addVal or Div. So bit-identity with the
-// scalar methods holds by construction: the inline cases are
-// roundTables.round's own, and the fallback *is* the scalar path.
+// The loops compute in float64 and round every result in four steps:
+//
+//  1. the inline step, inlineTable.round;
+//  2. a zero result takes a cheap branch, since zero products dominate
+//     the trailing updates of sparse factors: a posit drops −0 and an
+//     IEEE format keeps it;
+//  3. a sum exactly on a boundary whose TwoSum residual is zero is a
+//     genuine tie and goes to the even pattern;
+//  4. anything else calls the format's engine, as the scalar operation
+//     does.
+//
+// Steps 1 and 3 are the scalar operations' own, and step 2 gives what
+// the engine gives for a zero, so a kernel rounds as its defining
+// sequence of scalar operations — kernels_test.go, table_test.go,
+// tie_test.go and wide_test.go pin them together differentially. The
+// engine is read from the format on step 4 only: held in a local, its
+// interface value takes registers that the loop's common path needs.
 
-func (p *widePosit) DotKernel(x, y []Num) Num {
-	it := p.t.inline
+func (f *fastFormat) DotKernel(x, y []Num) Num {
+	it, ieee := f.table(), f.ieee
 	y = y[:len(x)]
 	s := 0.0
 	for i := range x {
@@ -159,19 +166,24 @@ func (p *widePosit) DotKernel(x, y []Num) Num {
 		if r, _, ok := it.round(math.Float64bits(m)); ok {
 			m = math.Float64frombits(r)
 		} else if m == 0 {
-			m = 0
+			if !ieee {
+				m = 0 // posits have one zero
+			}
 		} else {
-			m = p.mulVal(xi, yi)
+			m = f.eng.mul(xi, yi, m)
 		}
 		sum := s + m
 		if r, tie, ok := it.round(math.Float64bits(sum)); ok {
 			s = math.Float64frombits(r)
 		} else if sum == 0 {
-			s = 0
+			if !ieee {
+				sum = 0
+			}
+			s = sum
 		} else if tie != 0 && sumExact(s, m, sum) {
 			s = math.Float64frombits(r + r&(tie<<1))
 		} else {
-			s = p.addVal(s, m)
+			s = f.eng.sum(s, m, sum)
 		}
 	}
 	return n64(s)
@@ -179,10 +191,10 @@ func (p *widePosit) DotKernel(x, y []Num) Num {
 
 // AxpyKernel is MulAddKernel with dst = y: the sum m + y[i] rounds the
 // same as y[i] + m.
-func (p *widePosit) AxpyKernel(alpha Num, x, y []Num) { p.MulAddKernel(alpha, x, y, y) }
+func (f *fastFormat) AxpyKernel(alpha Num, x, y []Num) { f.MulAddKernel(alpha, x, y, y) }
 
-func (p *widePosit) ScaleKernel(alpha Num, x []Num) {
-	it := p.t.inline
+func (f *fastFormat) ScaleKernel(alpha Num, x []Num) {
+	it, ieee := f.table(), f.ieee
 	a := f64(alpha)
 	for i := range x {
 		xi := f64(x[i])
@@ -190,15 +202,18 @@ func (p *widePosit) ScaleKernel(alpha Num, x []Num) {
 		if r, _, ok := it.round(math.Float64bits(m)); ok {
 			x[i] = Num(r)
 		} else if m == 0 {
-			x[i] = 0
+			if !ieee {
+				m = 0
+			}
+			x[i] = n64(m)
 		} else {
-			x[i] = n64(p.mulVal(a, xi))
+			x[i] = n64(f.eng.mul(a, xi, m))
 		}
 	}
 }
 
-func (p *widePosit) MulAddKernel(alpha Num, x, y, dst []Num) {
-	it := p.t.inline
+func (f *fastFormat) MulAddKernel(alpha Num, x, y, dst []Num) {
+	it, ieee := f.table(), f.ieee
 	a := f64(alpha)
 	y = y[:len(x)]
 	dst = dst[:len(x)]
@@ -208,26 +223,31 @@ func (p *widePosit) MulAddKernel(alpha Num, x, y, dst []Num) {
 		if r, _, ok := it.round(math.Float64bits(m)); ok {
 			m = math.Float64frombits(r)
 		} else if m == 0 {
-			m = 0
+			if !ieee {
+				m = 0
+			}
 		} else {
-			m = p.mulVal(a, xi)
+			m = f.eng.mul(a, xi, m)
 		}
 		yi := f64(y[i])
 		sum := m + yi
 		if r, tie, ok := it.round(math.Float64bits(sum)); ok {
 			dst[i] = Num(r)
 		} else if sum == 0 {
-			dst[i] = 0
+			if !ieee {
+				sum = 0
+			}
+			dst[i] = n64(sum)
 		} else if tie != 0 && sumExact(m, yi, sum) {
 			dst[i] = Num(r + r&(tie<<1))
 		} else {
-			dst[i] = n64(p.addVal(m, yi))
+			dst[i] = n64(f.eng.sum(m, yi, sum))
 		}
 	}
 }
 
-func (p *widePosit) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
-	it := p.t.inline
+func (f *fastFormat) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
+	it, ieee := f.table(), f.ieee
 	for i := 0; i+1 < len(rowPtr); i++ {
 		s := 0.0
 		for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
@@ -236,40 +256,49 @@ func (p *widePosit) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 			if r, _, ok := it.round(math.Float64bits(m)); ok {
 				m = math.Float64frombits(r)
 			} else if m == 0 {
-				m = 0
+				if !ieee {
+					m = 0
+				}
 			} else {
-				m = p.mulVal(vi, xi)
+				m = f.eng.mul(vi, xi, m)
 			}
 			sum := s + m
 			if r, tie, ok := it.round(math.Float64bits(sum)); ok {
 				s = math.Float64frombits(r)
 			} else if sum == 0 {
-				s = 0
+				if !ieee {
+					sum = 0
+				}
+				s = sum
 			} else if tie != 0 && sumExact(s, m, sum) {
 				s = math.Float64frombits(r + r&(tie<<1))
 			} else {
-				s = p.addVal(s, m)
+				s = f.eng.sum(s, m, sum)
 			}
 		}
 		y[i] = n64(s)
 	}
 }
 
-func (p *widePosit) TrailingUpdateKernel(nalpha Num, x, w []Num) {
-	p.MulAddKernel(nalpha, x, w, w)
+func (f *fastFormat) TrailingUpdateKernel(nalpha Num, x, w []Num) {
+	f.MulAddKernel(nalpha, x, w, w)
 }
 
-func (p *widePosit) DivKernel(alpha Num, x []Num) {
-	it := p.t.inline
+func (f *fastFormat) DivKernel(alpha Num, x []Num) {
+	it, ieee := f.table(), f.ieee
 	a := f64(alpha)
 	for i := range x {
-		q := f64(x[i]) / a
+		xi := f64(x[i])
+		q := xi / a
 		if r, _, ok := it.round(math.Float64bits(q)); ok {
 			x[i] = Num(r)
 		} else if q == 0 {
-			x[i] = 0 // x[i] is zero: posit quotients never underflow float64
+			if !ieee {
+				q = 0
+			}
+			x[i] = n64(q)
 		} else {
-			x[i] = p.Div(x[i], alpha)
+			x[i] = n64(f.eng.quo(xi, a, q))
 		}
 	}
 }

@@ -46,9 +46,9 @@ type Tables struct {
 	// patterns are value-ordered in both systems and float64 bits are
 	// value-ordered for positive floats, so the table is sorted and the
 	// locate step is a binary search over the cuts of the input's
-	// binade (cutByE) — no bit-pattern pipeline anywhere. The kernels
-	// reach it only off their inline paths: region scales, the IEEE top
-	// binade, quotient boundary hits, and specials.
+	// binade (cutByE) — no bit-pattern pipeline anywhere. The fast
+	// format reaches it only through the engine (exact.go), off its
+	// inline path.
 	cut []uint64
 	// sqrt[p] and recip[p] are the full unary op tables over all
 	// patterns, including negatives and specials: sqrt[p] = Sqrt(p) and
@@ -221,7 +221,6 @@ const (
 	tieExact uint8 = iota // r is the exact result: a hit is a genuine tie → even pattern
 	tieSum                // r = fl(x+y): resolve by the TwoSum residual
 	tieDiv                // r = fl(x/y): resolve by the FMA remainder against y
-	tieSqrt               // r = fl(√x):  resolve by the FMA remainder of r²
 )
 
 // boundaryTie returns which side of the boundary the exact result is
@@ -243,9 +242,6 @@ func boundaryTie(op uint8, x, y, r float64) int {
 		if y < 0 {
 			s = -s
 		}
-	case tieSqrt:
-		// exact - r has the sign of x - r².
-		s = -math.FMA(r, r, -x)
 	default: // tieExact
 		return 0
 	}
@@ -374,7 +370,8 @@ func (t *Tables) Width() int { return t.width }
 // MemBytes returns the resident size of the tables, for capacity
 // planning and the benchmark report.
 func (t *Tables) MemBytes() int {
-	return len(t.decode)*8 + len(t.cut)*8 + (len(t.sqrt)+len(t.recip)+len(t.patBase))*2 + len(t.fb)
+	return len(t.decode)*8 + len(t.cut)*8 + (len(t.sqrt)+len(t.recip)+len(t.patBase))*2 + len(t.fb) +
+		len(t.inline)*16 + len(t.cutByE)*2
 }
 
 // Decode returns the exact float64 value of pattern p.
@@ -385,9 +382,3 @@ func (t *Tables) Decode(p uint16) float64 { return t.decode[p&t.patMask] }
 // hit is a genuine tie (round to even pattern) — bit-identical to the
 // integer pipeline's FromFloat64.
 func (t *Tables) Encode(x float64) uint16 { return t.roundPat(x, tieExact, 0, 0) }
-
-// SqrtPat returns the tabulated Sqrt(p) in pattern space.
-func (t *Tables) SqrtPat(p uint16) uint16 { return t.sqrt[p&t.patMask] }
-
-// RecipPat returns the tabulated Div(One, p) in pattern space.
-func (t *Tables) RecipPat(p uint16) uint16 { return t.recip[p&t.patMask] }

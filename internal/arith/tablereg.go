@@ -5,44 +5,44 @@ import (
 	"sync/atomic"
 )
 
-// Process-wide table registry.
+// Process-wide engine registry.
 //
-// Building a format's tables costs milliseconds (the exact pipeline
-// runs over all 2^16 patterns, twice for the unary tables), so tables
-// are built lazily, once per process, the first time any caller — a
-// solver kernel, positd's /v1/convert, the experiment runner — touches
-// the format's fast path. A per-spec sync.Once gives singleflight
-// semantics: concurrent first users of the same config block on one
-// build instead of racing duplicates, and two format values of one
-// spec (arith.Posit16e1 and arith.MustByName("posit16es1")) share it.
+// Building a format's engine costs up to milliseconds (a table engine
+// runs the exact pipeline over all 2^16 patterns, twice for the unary
+// tables; every engine fills a 32 KB inline table), so engines are
+// built lazily, once per process, the first time any caller — a solver
+// kernel, positd's /v1/convert, the experiment runner — operates in the
+// format. A per-spec sync.Once gives singleflight semantics: concurrent
+// first users of the same config block on one build instead of racing
+// duplicates, and two format values of one spec (arith.Posit32e2 and
+// arith.MustByName("posit32es2")) share it.
 
-type tableEntry struct {
+type engineEntry struct {
 	once sync.Once
-	tab  *Tables
+	eng  engine
 }
 
-var tableReg = struct {
+var engineReg = struct {
 	sync.Mutex
-	m map[string]*tableEntry
-}{m: map[string]*tableEntry{}}
+	m map[string]*engineEntry
+}{m: map[string]*engineEntry{}}
 
-// tableBuilds counts from-scratch builds, for the concurrency tests
-// and the bench report.
-var tableBuilds atomic.Uint64
+// engineBuilds counts from-scratch builds, for the concurrency tests.
+var engineBuilds atomic.Uint64
 
-// tablesFor returns the process-wide tables of spec, building them on
+// engineFor returns the process-wide engine of spec, building it on
 // first use.
-func tablesFor(spec string, build func() *Tables) *Tables {
-	tableReg.Lock()
-	e := tableReg.m[spec]
+func engineFor(spec string, build func() engine) engine {
+	engineReg.Lock()
+	e := engineReg.m[spec]
 	if e == nil {
-		e = &tableEntry{}
-		tableReg.m[spec] = e
+		e = &engineEntry{}
+		engineReg.m[spec] = e
 	}
-	tableReg.Unlock()
+	engineReg.Unlock()
 	e.once.Do(func() {
-		tableBuilds.Add(1)
-		e.tab = build()
+		engineBuilds.Add(1)
+		e.eng = build()
 	})
-	return e.tab
+	return e.eng
 }
