@@ -319,6 +319,85 @@ func TestTableRegistrySingleflight(t *testing.T) {
 	}
 }
 
+// TestWideEngineSingleflight is TestTableRegistrySingleflight for a
+// posit wider than 16 bits: constructing format values builds nothing,
+// parallel first use of two values of one spec builds exactly one
+// engine, and both values hold it, as arith.Posit32e2 and
+// MustByName("posit32es2") do.
+func TestWideEngineSingleflight(t *testing.T) {
+	c := posit.MustNew(28, 3) // not a registry format; no other test uses it
+	arith.ForgetTablesForTest(arith.PositTableSpec(c))
+	before := arith.TableBuildCount()
+	fs := [2]arith.Format{arith.FastPosit(c), arith.FastPosit(c)}
+	if d := arith.TableBuildCount() - before; d != 0 {
+		t.Fatalf("constructing two %s values built %d engines, want 0", c, d)
+	}
+	if e := arith.EngineForTest(fs[0]); e != nil {
+		t.Fatalf("%s holds an engine before its first operation", c)
+	}
+	const workers = 24
+	results := make([]arith.Num, workers)
+	done := make(chan int, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			f := fs[w%2]
+			x := f.FromFloat64(1.5)
+			results[w] = f.Add(x, f.Mul(x, x)) // first op forces the lazy build
+			done <- w
+		}(w)
+	}
+	for i := 0; i < workers; i++ {
+		<-done
+	}
+	if d := arith.TableBuildCount() - before; d != 1 {
+		t.Errorf("parallel first use built %d times, want exactly 1", d)
+	}
+	for w := 1; w < workers; w++ {
+		if results[w] != results[0] {
+			t.Errorf("worker %d saw %v, worker 0 saw %v", w, results[w], results[0])
+		}
+	}
+	if e0, e1 := arith.EngineForTest(fs[0]), arith.EngineForTest(fs[1]); e0 == nil || e0 != e1 {
+		t.Errorf("two FastPosit values of %s hold engines %p and %p, want one", c, e0, e1)
+	}
+	named := arith.MustByName("posit32es2")
+	arith.Posit32e2.FromFloat64(1)
+	named.FromFloat64(1)
+	if arith.EngineForTest(arith.Posit32e2) != arith.EngineForTest(named) {
+		t.Error("arith.Posit32e2 and MustByName(\"posit32es2\") hold different engines")
+	}
+}
+
+// TestTablesMemBytes checks that MemBytes counts every table a build
+// keeps: 2^w decoded values, the cuts, the sqrt and reciprocal tables,
+// a pattern base and a fraction-bit count per scale, the inline
+// rounding table (2048 {mask, tie} pairs) and the per-binade search
+// bounds (2049 uint16).
+func TestTablesMemBytes(t *testing.T) {
+	for _, tf := range tabbedFormats(t) {
+		tab, _ := arith.TablesOf(tf.fast)
+		var scales int
+		if c, ok := arith.PositConfig(tf.fast); ok {
+			scales = c.MaxScale() - c.MinScale() + 1
+		} else {
+			m, _ := arith.MiniConfig(tf.fast)
+			scales = m.Emax() - (m.Emin() - m.FracBits()) + 1
+		}
+		n := 1 << tab.Width()
+		want := n*8 + len(arith.CutsForTest(tab))*8 + 2*n*2 + scales*3 + 2048*16 + 2049*2
+		if got := tab.MemBytes(); got != want {
+			t.Errorf("%s: MemBytes = %d, want %d", tf.name, got, want)
+		}
+	}
+	// posit8es0 by hand: 256 decoded values (2048 B), 129 cuts
+	// (1032 B), sqrt and reciprocal (1024 B), 13 scales (39 B), the
+	// inline table (32768 B) and the search bounds (4098 B).
+	tab, _ := arith.TablesOf(arith.MustByName("posit8es0"))
+	if got := tab.MemBytes(); got != 41009 {
+		t.Errorf("posit8es0: MemBytes = %d, want 41009", got)
+	}
+}
+
 // plainSearch is the boundary search without the per-binade index: a
 // binary search over the whole table for the largest p with
 // cut[p] <= a. It is the oracle of TestTablesLocateIndex.
