@@ -28,17 +28,17 @@ import "math"
 //     format settles it itself when its TwoSum residual is zero, a
 //     genuine tie. A nonzero residual, which only an addend off the
 //     format grid makes, says which side the exact sum is on
-//     (Tables.sum), and a quotient on a boundary resolves by an FMA
-//     remainder (Tables.quo); both through boundaryTie in table.go. A
-//     root is a lookup in the square root table.
+//     (Tables.sum). A quotient or a root on a boundary resolves by an
+//     FMA remainder, r·y − x or r² − x (Tables.quo, Tables.root); all
+//     three through boundaryTie in table.go.
 //
 // The upshot: the engine never calls the bit-pattern pipeline. What it
 // gets (zeros of the scalar operations, specials, region scales, the
 // IEEE top binade, boundary hits) goes through Tables.roundFrom, pure
-// table lookups plus a binary search within one binade, or through the
-// square root and reciprocal tables. Bit-identity with the scalar
-// pipeline is asserted exhaustively in table_test.go and, for operands
-// aimed at sum boundaries, in tie_test.go.
+// table lookups plus a binary search within one binade. Bit-identity
+// with the scalar pipeline is asserted exhaustively in table_test.go
+// and, for operands aimed at sum and quotient boundaries, in
+// tie_test.go.
 //
 // Eligibility (checked by exactEligibleMini and FastPosit): width <=
 // 16 and the product of any two format values representable as a
@@ -68,39 +68,9 @@ func (t *Tables) mul(_, _, r float64) float64 { return t.exact(r) }
 
 func (t *Tables) sum(x, y, r float64) float64 { return t.roundFrom(r, tieSum, x, y) }
 
-// quo takes a reciprocal from its table (One is exactly 1 in the value
-// domain of every format).
-func (t *Tables) quo(x, y, r float64) float64 {
-	if x == 1 {
-		return t.decode[t.recip[t.valuePat(y)]]
-	}
-	return t.roundFrom(r, tieDiv, x, y)
-}
+func (t *Tables) quo(x, y, r float64) float64 { return t.roundFrom(r, tieDiv, x, y) }
 
-// root is a single table lookup: the sqrt table covers every pattern,
-// including negatives and specials, with the pipeline's own results.
-func (t *Tables) root(x, _ float64) float64 { return t.decode[t.sqrt[t.valuePat(x)]] }
-
-// valuePat returns the format pattern of a float64 that *is* a format
-// value (the invariant of the value-domain Num encoding).
-func (t *Tables) valuePat(x float64) uint16 {
-	if x == 0 {
-		if t.ieee && math.Signbit(x) {
-			return t.signPat
-		}
-		return 0
-	}
-	if math.IsNaN(x) {
-		return t.nanPat
-	}
-	if math.IsInf(x, 0) {
-		if !t.ieee {
-			return t.nanPat
-		}
-		return t.pattern(uint32(t.infPat), math.Signbit(x))
-	}
-	return t.pattern(t.exactPat(math.Float64bits(x)&^signBit64), math.Signbit(x))
-}
+func (t *Tables) root(x, r float64) float64 { return t.roundFrom(r, tieSqrt, x, 0) }
 
 // --- inline rounding ---
 

@@ -42,9 +42,10 @@ import (
 // side of B, and rounding r rounds the exact result. Only a result
 // exactly on a boundary needs more than r: a sum whose TwoSum residual
 // is zero is a genuine tie, which the format settles itself, and every
-// other hit goes to the engine, which resolves it by an exact residual,
-// a table, or the integer pipeline. The fast path is bit-identical to
-// the slow path, which differential tests assert.
+// other hit goes to the engine, which resolves it by an exact residual
+// or, for a posit wider than 16 bits, the integer pipeline. The fast
+// path is bit-identical to the slow path, which differential tests
+// assert.
 
 // FastPosit builds the fast implementation of a posit format. It is
 // bit-compatible with Posit(c) in results; only the Num encoding

@@ -12,13 +12,13 @@ const signBit64 = uint64(1) << 63
 
 // Tables is the exhaustive lookup-table engine for a format of at most
 // 16 bits. Every pattern's value fits a 65536-entry float64 decode
-// table, every rounding decision reduces to a search in a sorted
-// boundary table indexed off the float64 bit pattern, and the unary
-// operations (square root, reciprocal) become single indexed loads —
-// the way posit hardware and SoftPosit-style libraries realize narrow
-// formats. All tables are derived from the exact integer pipelines, so
-// results are bit-identical by construction (and proven so by the
-// exhaustive differential tests in table_test.go).
+// table, and every rounding decision the inline step leaves reduces to
+// a search in a sorted boundary table indexed off the float64 bit
+// pattern — the way posit hardware and SoftPosit-style libraries
+// realize narrow formats. The tables are derived from the exact
+// integer pipelines' decodes, so results are bit-identical by
+// construction (and proven so by the exhaustive differential tests in
+// table_test.go).
 //
 // A Tables is immutable after construction and safe for concurrent
 // use. Obtain one through TablesOf, which builds lazily behind the
@@ -50,21 +50,8 @@ type Tables struct {
 	// format reaches it only through the engine (exact.go), off its
 	// inline path.
 	cut []uint64
-	// sqrt[p] and recip[p] are the full unary op tables over all
-	// patterns, including negatives and specials: sqrt[p] = Sqrt(p) and
-	// recip[p] = Div(One, p) in the exact pipeline.
-	sqrt  []uint16
-	recip []uint16
 
-	// O(1) exact-value encode: at scale s with fb[s-minScale] >= 1
-	// explicit fraction bits, patterns are contiguous within the binade
-	// and the pattern of a format value 2^s·(1+m/2^fb) is
-	// patBase[s-minScale] + m. (patBase is the pattern of 2^s.)
-	minScale int
-	fb       []int8
-	patBase  []uint16
-
-	// inline is the inline rounding step (exact.go), built from fb.
+	// inline is the inline rounding step (exact.go).
 	inline *inlineTable
 	// cutByE[e] for a float64 biased exponent e (0..2048) is the
 	// pattern the binade's first magnitude e<<52 lies in: the largest p
@@ -77,14 +64,15 @@ type Tables struct {
 	cutByE [2049]uint16
 }
 
-// finalize derives the redundant hot-path tables; both builders call
-// it last.
-func (t *Tables) finalize() {
-	fb := t.fb
+// finalize derives the hot-path tables: the inline step from fb, the
+// count of explicit fraction bits at each scale minScale+i (negative in
+// a posit's region scales), and the search bounds from the cuts. Both
+// builders call it last.
+func (t *Tables) finalize(minScale int, fb []int8) {
 	if t.ieee {
 		fb = fb[:len(fb)-1] // the top binade can round past maxFinite: roundFrom decides it
 	}
-	t.inline = newInlineTable(t.minScale, fb)
+	t.inline = newInlineTable(minScale, fb)
 	p := 0
 	for e := range t.cutByE {
 		first := uint64(e) << 52
@@ -108,13 +96,12 @@ func miniSpec(f minifloat.Format) string {
 func buildPositTables(c posit.Config) *Tables {
 	w := c.N()
 	t := &Tables{
-		spec:     positSpec(c),
-		width:    w,
-		maxPat:   uint32(c.MaxPos()),
-		patMask:  uint16(1<<uint(w) - 1),
-		signPat:  uint16(c.NaR()),
-		nanPat:   uint16(c.NaR()),
-		minScale: c.MinScale(),
+		spec:    positSpec(c),
+		width:   w,
+		maxPat:  uint32(c.MaxPos()),
+		patMask: uint16(1<<uint(w) - 1),
+		signPat: uint16(c.NaR()),
+		nanPat:  uint16(c.NaR()),
 	}
 	size := 1 << uint(w)
 	t.decode = make([]float64, size)
@@ -134,24 +121,12 @@ func buildPositTables(c posit.Config) *Tables {
 	// Posits never round a real result past maxpos (clamp, not NaR),
 	// so the overflow threshold sits at infinity.
 	t.cut[t.maxPat+1] = math.Float64bits(math.Inf(1))
-	t.sqrt = make([]uint16, size)
-	t.recip = make([]uint16, size)
-	one := c.One()
-	for p := 0; p < size; p++ {
-		t.sqrt[p] = uint16(c.Sqrt(posit.Bits(p)))
-		t.recip[p] = uint16(c.Div(one, posit.Bits(p)))
+	minScale := c.MinScale()
+	fb := make([]int8, c.MaxScale()-minScale+1)
+	for i := range fb {
+		fb[i] = int8(rawFracBits(c, minScale+i))
 	}
-	maxS := c.MaxScale()
-	t.fb = make([]int8, maxS-t.minScale+1)
-	t.patBase = make([]uint16, len(t.fb))
-	for s := t.minScale; s <= maxS; s++ {
-		i := s - t.minScale
-		t.fb[i] = int8(rawFracBits(c, s))
-		if t.fb[i] >= 1 {
-			t.patBase[i] = uint16(c.FromFloat64(math.Ldexp(1, s)))
-		}
-	}
-	t.finalize()
+	t.finalize(minScale, fb)
 	return t
 }
 
@@ -161,15 +136,14 @@ func buildMiniTables(f minifloat.Format) *Tables {
 	w := f.Width()
 	frac := f.FracBits()
 	t := &Tables{
-		spec:     miniSpec(f),
-		width:    w,
-		ieee:     true,
-		maxPat:   uint32(f.MaxFinite()),
-		patMask:  uint16(1<<uint(w) - 1),
-		signPat:  uint16(f.NegZero()),
-		nanPat:   uint16(f.NaN()),
-		infPat:   uint16(f.PosInf()),
-		minScale: f.Emin() - frac, // scale of the smallest subnormal
+		spec:    miniSpec(f),
+		width:   w,
+		ieee:    true,
+		maxPat:  uint32(f.MaxFinite()),
+		patMask: uint16(1<<uint(w) - 1),
+		signPat: uint16(f.NegZero()),
+		nanPat:  uint16(f.NaN()),
+		infPat:  uint16(f.PosInf()),
 	}
 	size := 1 << uint(w)
 	t.decode = make([]float64, size)
@@ -187,27 +161,12 @@ func buildMiniTables(f minifloat.Format) *Tables {
 	// side, which is the Inf pattern).
 	maxS := f.Emax()
 	t.cut[t.maxPat+1] = math.Float64bits((t.decode[t.maxPat] + math.Ldexp(1, maxS+1)) / 2)
-	t.sqrt = make([]uint16, size)
-	t.recip = make([]uint16, size)
-	one := f.One()
-	for p := 0; p < size; p++ {
-		t.sqrt[p] = uint16(f.Sqrt(minifloat.Bits(p)))
-		t.recip[p] = uint16(f.Div(one, minifloat.Bits(p)))
+	minScale := f.Emin() - frac // scale of the smallest subnormal
+	fb := make([]int8, maxS-minScale+1)
+	for i := range fb {
+		fb[i] = int8(min(i, frac)) // the i-th subnormal binade keeps i fraction bits
 	}
-	t.fb = make([]int8, maxS-t.minScale+1)
-	t.patBase = make([]uint16, len(t.fb))
-	for s := t.minScale; s <= maxS; s++ {
-		i := s - t.minScale
-		b := frac
-		if s < f.Emin() {
-			b = s - (f.Emin() - frac)
-		}
-		t.fb[i] = int8(b)
-		if b >= 1 {
-			t.patBase[i] = uint16(f.FromFloat64(math.Ldexp(1, s)))
-		}
-	}
-	t.finalize()
+	t.finalize(minScale, fb)
 	return t
 }
 
@@ -221,6 +180,7 @@ const (
 	tieExact uint8 = iota // r is the exact result: a hit is a genuine tie → even pattern
 	tieSum                // r = fl(x+y): resolve by the TwoSum residual
 	tieDiv                // r = fl(x/y): resolve by the FMA remainder against y
+	tieSqrt               // r = fl(√x): resolve by the FMA remainder of r²
 )
 
 // boundaryTie returns which side of the boundary the exact result is
@@ -242,6 +202,9 @@ func boundaryTie(op uint8, x, y, r float64) int {
 		if y < 0 {
 			s = -s
 		}
+	case tieSqrt:
+		// exact - r has the sign of x - r², which FMA gives exactly.
+		s = -math.FMA(r, r, -x)
 	default: // tieExact
 		return 0
 	}
@@ -346,21 +309,6 @@ func (t *Tables) roundFrom(r float64, op uint8, x, y float64) float64 {
 	return t.decode[t.roundPat(r, op, x, y)]
 }
 
-// exactPat returns the positive pattern of a value the format
-// represents exactly (0 < value, finite), given its float64 bits.
-// O(1) in binades with explicit fraction bits, boundary search
-// elsewhere (the few patterns at the range ends).
-func (t *Tables) exactPat(a uint64) uint32 {
-	idx := int(a>>52) - 1023 - t.minScale
-	if uint(idx) < uint(len(t.fb)) {
-		if b := int(t.fb[idx]); b >= 1 {
-			kept := (a & (1<<52 - 1)) >> uint(52-b)
-			return uint32(t.patBase[idx]) + uint32(kept)
-		}
-	}
-	return t.locate(a, tieExact, 0, 0, 0)
-}
-
 // Spec returns the format identity the tables were built for.
 func (t *Tables) Spec() string { return t.spec }
 
@@ -370,8 +318,7 @@ func (t *Tables) Width() int { return t.width }
 // MemBytes returns the resident size of the tables, for capacity
 // planning and the benchmark report.
 func (t *Tables) MemBytes() int {
-	return len(t.decode)*8 + len(t.cut)*8 + (len(t.sqrt)+len(t.recip)+len(t.patBase))*2 + len(t.fb) +
-		len(t.inline)*16 + len(t.cutByE)*2
+	return len(t.decode)*8 + len(t.cut)*8 + len(t.inline)*16 + len(t.cutByE)*2
 }
 
 // Decode returns the exact float64 value of pattern p.

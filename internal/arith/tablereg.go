@@ -8,8 +8,8 @@ import (
 // Process-wide engine registry.
 //
 // Building a format's engine costs up to milliseconds (a table engine
-// runs the exact pipeline over all 2^16 patterns, twice for the unary
-// tables; every engine fills a 32 KB inline table), so engines are
+// decodes all 2^16 patterns and 2^15 boundaries through the exact
+// pipeline; every engine fills a 32 KB inline table), so engines are
 // built lazily, once per process, the first time any caller — a solver
 // kernel, positd's /v1/convert, the experiment runner — operates in the
 // format. A per-spec sync.Once gives singleflight semantics: concurrent
