@@ -43,7 +43,7 @@ inline:
 # arm64 (unlike amd64) fuse x*y + z into one FMA unless the product is
 # converted explicitly, float64(x*y), and the fused result rounds
 # differently. FMA_PKGS are the packages kept free of such lines.
-FMA_PKGS := ./internal/arith ./internal/matgen ./internal/shadow
+FMA_PKGS := ./internal/arith ./internal/matgen ./internal/shadow ./internal/fft ./internal/shocktube
 
 fma:
 	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \
@@ -59,10 +59,10 @@ fma:
 # GODEBUG=cpu.fma=off makes the test binaries run as on a CPU without
 # it (math.Exp's other branch, math.FMA in software), and the suite
 # fingerprints, the golden suite files, the result rows and the arith
-# tests aimed at rounding boundaries must not move (the table engine's
-# roots and quotients off the inline path and the wide posits'
-# boundary cases resolve through math.FMA). -exec hands GODEBUG to the
-# test binaries only. Other architectures have no such switch.
+# tests aimed at rounding boundaries must not move. The table engine
+# calls no math.FMA, but the wide posits' boundary cases resolve
+# through it (mulExact, divExact, sqrtExact). -exec hands GODEBUG to
+# the test binaries only. Other architectures have no such switch.
 NOFMA_TESTS := TestSuiteFingerprint|TestGoldenSuiteFiles|TestExpFMAPath|TestResultsByteIdentical|TestTablesUnaryExhaustive|TestTable8Exhaustive|TestWideBoundary|TestSumResidualSide|TestQuotientBoundaryTies
 
 nofma:
@@ -151,7 +151,7 @@ serve:
 # table-build cost (with resident bytes per format), and the tabulated
 # 8-bit scalar throughput.
 bench-tables:
-	$(GO) test -run '^$$' -bench 'Cholesky200(Float16|BFloat16|Posit16e1|Posit16e2)' -benchtime 2s ./internal/linalg/
+	$(GO) test -run '^$$' -bench 'Cholesky200(Graded)?(Float16|BFloat16|Posit16e1|Posit16e2)$$' -benchtime 2s ./internal/linalg/
 	$(GO) test -run '^$$' -bench 'MixedIR' -benchtime 2s ./internal/solvers/
 	$(GO) test -run '^$$' -bench 'TableBuild|FastPosit8' ./internal/arith/
 

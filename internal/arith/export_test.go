@@ -45,3 +45,11 @@ func CutsForTest(t *Tables) []uint64 { return t.cut }
 // SearchForTest exposes the binade-bounded boundary search: the largest
 // p with cut[p] <= a, for magnitude bits a.
 func SearchForTest(t *Tables, a uint64) uint32 { return t.search(a) }
+
+// InlineRoundForTest runs the fast format f's inline rounding step on
+// the float64 bits b: the rounded bits, and whether the step rounded b
+// rather than leaving it to the engine.
+func InlineRoundForTest(f Format, b uint64) (uint64, bool) {
+	r, _, ok := f.(*fastFormat).table().round(b)
+	return r, ok
+}

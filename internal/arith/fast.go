@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"positlab/internal/bigfp"
 	"positlab/internal/minifloat"
 	"positlab/internal/posit"
 )
@@ -29,8 +28,17 @@ import (
 //   - formats of at most 16 bits (every posit8 and posit16, Float16,
 //     BFloat16, FP8) get the exhaustive lookup tables, Tables
 //     (table.go, exact.go);
-//   - posits wider than 16 bits get roundTables below, per-scale region
-//     tables with the integer pipeline as the last resort.
+//   - posits wider than 16 bits get roundTables below, the inline step
+//     with the integer pipeline as the last resort.
+//
+// Both engines build the inline step in one place, newInlineTable
+// (exact.go), from the fraction bits at each scale and the engine's
+// own rounding of the binades without them: the tables' cuts, or the
+// posit's integer pipeline. It rounds every binade that has a single
+// answer on each side of its cut, the region scales and the clamps
+// past the format's range included, so the engine sees only NaN and
+// infinities, a posit's zero, an IEEE format's top binade and results
+// exactly on a rounding boundary.
 //
 // Rounding through float64 preserves correct rounding exactly. The
 // hazard is double rounding: the float64-rounded result of an operation
@@ -42,10 +50,10 @@ import (
 // side of B, and rounding r rounds the exact result. Only a result
 // exactly on a boundary needs more than r: a sum whose TwoSum residual
 // is zero is a genuine tie, which the format settles itself, and every
-// other hit goes to the engine, which resolves it by an exact residual
-// or, for a posit wider than 16 bits, the integer pipeline. The fast
-// path is bit-identical to the slow path, which differential tests
-// assert.
+// other hit goes to the engine, which resolves it by the sum's residual
+// or as an exact value, or, for a posit wider than 16 bits, through the
+// integer pipeline. The fast path is bit-identical to the slow path,
+// which differential tests assert.
 
 // FastPosit builds the fast implementation of a posit format. It is
 // bit-compatible with Posit(c) in results; only the Num encoding
@@ -204,12 +212,12 @@ func (f *fastFormat) mul(x, y float64) float64 {
 
 func (f *fastFormat) add(x, y float64) float64 {
 	s := x + y
-	r, tie, ok := f.table().round(math.Float64bits(s))
+	r, par, ok := f.table().round(math.Float64bits(s))
 	if ok {
 		return math.Float64frombits(r)
 	}
-	if tie != 0 && sumExact(x, y, s) {
-		return math.Float64frombits(r + r&(tie<<1))
+	if par != 0 && sumExact(x, y, s) {
+		return math.Float64frombits(r + r&par)
 	}
 	return f.eng.sum(x, y, s)
 }
@@ -269,9 +277,13 @@ func (f *fastFormat) MaxValue() float64  { return f.maxValue }
 
 // sumExact reports whether r = x + y held exactly in float64 (TwoSum
 // residual is zero).
-func sumExact(x, y, r float64) bool {
+func sumExact(x, y, r float64) bool { return sumErr(x, y, r) == 0 }
+
+// sumErr is Knuth's TwoSum residual of r = fl(x+y): x + y = r + e
+// exactly, for r correctly rounded.
+func sumErr(x, y, r float64) float64 {
 	bv := r - x
-	return (x-(r-bv))+(y-bv) == 0
+	return (x - (r - bv)) + (y - bv)
 }
 
 // mulExact reports whether r = x * y held exactly in float64.
@@ -291,174 +303,54 @@ func sqrtExact(x, r float64) bool {
 
 // --- wide posits ---
 
-// roundTables is the engine of a posit wider than 16 bits: value-domain
-// rounding with explicit region tables, and the integer pipeline for a
-// result on a boundary that is not the exact result.
+// roundTables is the engine of a posit wider than 16 bits: the inline
+// step, and the integer pipeline for what it leaves.
 type roundTables struct {
-	c        posit.Config
-	minScale int // scale of minpos
-	maxScale int // scale of maxpos
-	// inline is the inline rounding step (exact.go), with entries at the
-	// scales that have explicit fraction bits, as in Tables.
+	c posit.Config
+	// inline is the inline rounding step (exact.go), probed from the
+	// pipeline.
 	inline *inlineTable
-	// Region tables, indexed by s-minScale and populated where the
-	// scale has no explicit fraction bits: the bracketing representable
-	// values around 2^s, the rounding midpoint between them, and the
-	// parity of the lower pattern (for ties).
-	down, up, mid []float64
-	downOdd       []bool
-	minPosV       float64 // minpos: underflow clamps here
-	maxFinV       float64 // maxpos: overflow clamps here
 }
 
 func newRoundTables(c posit.Config) *roundTables {
-	t := &roundTables{
-		c:        c,
-		minScale: c.MinScale(),
-		maxScale: c.MaxScale(),
-		minPosV:  c.ToFloat64(c.MinPos()),
-		maxFinV:  c.ToFloat64(c.MaxPos()),
-	}
-	n := t.maxScale - t.minScale + 1
-	t.down = make([]float64, n)
-	t.up = make([]float64, n)
-	t.mid = make([]float64, n)
-	t.downOdd = make([]bool, n)
-	fb := make([]int8, n)
-	for s := t.minScale; s <= t.maxScale; s++ {
-		i := s - t.minScale
-		if fb[i] = int8(rawFracBits(c, s)); fb[i] >= 1 {
-			continue
-		}
-		// Largest posit <= 2^s.
-		p := c.FromFloat64(math.Ldexp(1, s))
-		if c.ToFloat64(p) > math.Ldexp(1, s) {
-			p = c.Prev(p)
-		}
-		t.down[i] = c.ToFloat64(p)
-		if p == c.MaxPos() {
-			t.up[i] = math.Inf(1)
-		} else {
-			t.up[i] = c.ToFloat64(c.Next(p))
-		}
-		// Pattern-space midpoint: the (n+1)-bit posit 2p+1.
-		mv := bigfp.PatternValue(c.N()+1, c.ES(), uint64(p)*2+1)
-		t.mid[i], _ = mv.Float64()
-		t.downOdd[i] = uint64(p)&1 == 1
-	}
-	t.inline = newInlineTable(t.minScale, fb)
-	return t
+	value := func(x float64) float64 { return c.ToFloat64(c.FromFloat64(x)) }
+	return &roundTables{c: c, inline: newInlineTable(c.MinScale(), positFracBits(c), value)}
 }
 
-// rawFracBits is FracBitsAtScale without the clamp at zero: negative
-// values count exponent bits cut off by the regime.
-func rawFracBits(c posit.Config, scale int) int {
-	pow := 1 << uint(c.ES())
-	k := scale / pow
-	if scale%pow != 0 && scale < 0 {
-		k--
+// positFracBits returns the count of explicit fraction bits at each
+// scale of c, from minpos's up.
+func positFracBits(c posit.Config) []int8 {
+	fb := make([]int8, c.MaxScale()-c.MinScale()+1)
+	for i := range fb {
+		fb[i] = int8(c.FracBitsAtScale(c.MinScale() + i))
 	}
-	var rlen int
-	if k >= 0 {
-		rlen = k + 2
-	} else {
-		rlen = -k + 1
-	}
-	return c.N() - 1 - rlen - c.ES()
-}
-
-// round rounds a float64 to the posit's value set with round-to-
-// nearest-even in pattern space. ok=false reports x exactly on a
-// rounding boundary when it is only the float64 image of the result:
-// the caller must find which side the exact result is on — either by
-// proving x is the exact result (re-round with exact=true; a genuine
-// tie, common for sums) or through the integer pipeline. Off a
-// boundary, x rounds as the exact result does (see the header above).
-func (t *roundTables) round(x float64, exact bool) (v float64, ok bool) {
-	b := math.Float64bits(x)
-	r, tie, inline := t.inline.round(b)
-	switch {
-	case inline:
-		return math.Float64frombits(r), true
-	case tie != 0 && !exact:
-		return 0, false
-	case tie != 0:
-		// A genuine tie goes to the even pattern: the kept-bit parity
-		// is the pattern parity where there are explicit fraction bits.
-		return math.Float64frombits(r + r&(tie<<1)), true
-	case x == 0:
-		return 0, true // posit has a single zero
-	case math.IsNaN(x):
-		return x, true
-	case math.IsInf(x, 0):
-		return math.NaN(), true // infinite intermediates are NaR
-	}
-	neg := b&signBit64 != 0
-	// A float64 subnormal has exponent field 0: far below every
-	// format's range.
-	exp := int(b>>52&2047) - 1023
-	if exp < t.minScale {
-		// Below the smallest representable scale. The region entry at
-		// minScale handles values just under minpos via its midpoint;
-		// anything under half of minpos lands here. Posits never round
-		// to zero.
-		return signed(t.minPosV, neg), true
-	}
-	if exp > t.maxScale {
-		return signed(t.maxFinV, neg), true // posits clamp at maxpos
-	}
-
-	// Region path: zero or negative fraction bits — the value rounds
-	// between down[s] and up[s] with the format's own midpoint.
-	idx := exp - t.minScale
-	a := math.Abs(x)
-	down, up, mid := t.down[idx], t.up[idx], t.mid[idx]
-	if !exact && a == mid {
-		return 0, false
-	}
-	switch {
-	case a < mid:
-		v = down
-	case a > mid:
-		v = up
-	default: // exact tie: even pattern
-		if t.downOdd[idx] {
-			v = up
-		} else {
-			v = down
-		}
-	}
-	if v > t.maxFinV {
-		v = t.maxFinV
-	}
-	if v == 0 {
-		v = t.minPosV
-	}
-	return signed(v, neg), true
-}
-
-func signed(v float64, neg bool) float64 {
-	if neg {
-		return -v
-	}
-	return v
+	return fb
 }
 
 func (t *roundTables) table() *inlineTable { return t.inline }
 
+// exact rounds an exact x: a result on a boundary in a scale with
+// fraction bits is a genuine tie, which goes to the even pattern by
+// the kept-bit parity, and the integer pipeline rounds the rest (a
+// region boundary, zeros and specials).
 func (t *roundTables) exact(x float64) float64 {
-	v, _ := t.round(x, true)
-	return v
+	r, par, ok := t.inline.round(math.Float64bits(x))
+	if ok {
+		return math.Float64frombits(r)
+	}
+	if par != 0 {
+		return math.Float64frombits(r + r&par)
+	}
+	return t.c.ToFloat64(t.c.FromFloat64(x))
 }
 
-// mul, sum, quo and root round r first; r on a boundary is the exact
-// result when the residual is zero, a genuine tie, and otherwise the
+// mul, sum, quo and root get r on a boundary, a zero or a special. r is
+// the exact result when the residual is zero, and otherwise the
 // integer pipeline decides, from the operands as the format holds them.
+// quo needs no case for y = 0: x/0 is ±Inf or NaN, whose residual is
+// NaN, and the pipeline makes it NaR, as posit division by zero is.
 
 func (t *roundTables) mul(x, y, r float64) float64 {
-	if v, ok := t.round(r, false); ok {
-		return v
-	}
 	if mulExact(x, y, r) {
 		return t.exact(r)
 	}
@@ -467,9 +359,6 @@ func (t *roundTables) mul(x, y, r float64) float64 {
 }
 
 func (t *roundTables) sum(x, y, r float64) float64 {
-	if v, ok := t.round(r, false); ok {
-		return v
-	}
 	if sumExact(x, y, r) {
 		return t.exact(r)
 	}
@@ -477,12 +366,7 @@ func (t *roundTables) sum(x, y, r float64) float64 {
 	return c.ToFloat64(c.Add(c.FromFloat64(x), c.FromFloat64(y)))
 }
 
-// quo needs no case for y = 0: x/0 is ±Inf or NaN, which round makes
-// NaR, as posit division by zero is.
 func (t *roundTables) quo(x, y, r float64) float64 {
-	if v, ok := t.round(r, false); ok {
-		return v
-	}
 	if divExact(x, y, r) {
 		return t.exact(r)
 	}
@@ -491,9 +375,6 @@ func (t *roundTables) quo(x, y, r float64) float64 {
 }
 
 func (t *roundTables) root(x, r float64) float64 {
-	if v, ok := t.round(r, false); ok {
-		return v
-	}
 	if sqrtExact(x, r) {
 		return t.exact(r)
 	}

@@ -173,15 +173,15 @@ func (f *fastFormat) DotKernel(x, y []Num) Num {
 			m = f.eng.mul(xi, yi, m)
 		}
 		sum := s + m
-		if r, tie, ok := it.round(math.Float64bits(sum)); ok {
+		if r, par, ok := it.round(math.Float64bits(sum)); ok {
 			s = math.Float64frombits(r)
 		} else if sum == 0 {
 			if !ieee {
 				sum = 0
 			}
 			s = sum
-		} else if tie != 0 && sumExact(s, m, sum) {
-			s = math.Float64frombits(r + r&(tie<<1))
+		} else if par != 0 && sumExact(s, m, sum) {
+			s = math.Float64frombits(r + r&par)
 		} else {
 			s = f.eng.sum(s, m, sum)
 		}
@@ -231,15 +231,15 @@ func (f *fastFormat) MulAddKernel(alpha Num, x, y, dst []Num) {
 		}
 		yi := f64(y[i])
 		sum := m + yi
-		if r, tie, ok := it.round(math.Float64bits(sum)); ok {
+		if r, par, ok := it.round(math.Float64bits(sum)); ok {
 			dst[i] = Num(r)
 		} else if sum == 0 {
 			if !ieee {
 				sum = 0
 			}
 			dst[i] = n64(sum)
-		} else if tie != 0 && sumExact(m, yi, sum) {
-			dst[i] = Num(r + r&(tie<<1))
+		} else if par != 0 && sumExact(m, yi, sum) {
+			dst[i] = Num(r + r&par)
 		} else {
 			dst[i] = n64(f.eng.sum(m, yi, sum))
 		}
@@ -263,15 +263,15 @@ func (f *fastFormat) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 				m = f.eng.mul(vi, xi, m)
 			}
 			sum := s + m
-			if r, tie, ok := it.round(math.Float64bits(sum)); ok {
+			if r, par, ok := it.round(math.Float64bits(sum)); ok {
 				s = math.Float64frombits(r)
 			} else if sum == 0 {
 				if !ieee {
 					sum = 0
 				}
 				s = sum
-			} else if tie != 0 && sumExact(s, m, sum) {
-				s = math.Float64frombits(r + r&(tie<<1))
+			} else if par != 0 && sumExact(s, m, sum) {
+				s = math.Float64frombits(r + r&par)
 			} else {
 				s = f.eng.sum(s, m, sum)
 			}

@@ -15,10 +15,12 @@ const signBit64 = uint64(1) << 63
 // table, and every rounding decision the inline step leaves reduces to
 // a search in a sorted boundary table indexed off the float64 bit
 // pattern — the way posit hardware and SoftPosit-style libraries
-// realize narrow formats. The tables are derived from the exact
-// integer pipelines' decodes, so results are bit-identical by
-// construction (and proven so by the exhaustive differential tests in
-// table_test.go).
+// realize narrow formats. The same search probes the binades without
+// fraction bits when the inline step is built, so the step's region
+// and clamp entries are the cuts' own rounding. The tables are derived
+// from the exact integer pipelines' decodes, so results are
+// bit-identical by construction (and proven so by the exhaustive
+// differential tests in table_test.go).
 //
 // A Tables is immutable after construction and safe for concurrent
 // use. Obtain one through TablesOf, which builds lazily behind the
@@ -51,28 +53,25 @@ type Tables struct {
 	// inline path.
 	cut []uint64
 
-	// inline is the inline rounding step (exact.go).
+	// inline is the inline rounding step (exact.go), probed from the
+	// cuts.
 	inline *inlineTable
 	// cutByE[e] for a float64 biased exponent e (0..2048) is the
 	// pattern the binade's first magnitude e<<52 lies in: the largest p
 	// with cut[p] <= e<<52. Every magnitude of binade e lies in a
 	// pattern between cutByE[e] and cutByE[e+1], so locate searches
 	// only that range — about fb probes in a binade with fb fraction
-	// bits, one or two in the region scales, instead of 16. Derived
-	// from cut in finalize. (uint16 holds any index: a <=16-bit format
-	// has fewer than 2^15 positive patterns.)
+	// bits instead of 16. Derived from cut in finalize. (uint16 holds
+	// any index: a <=16-bit format has fewer than 2^15 positive
+	// patterns.)
 	cutByE [2049]uint16
 }
 
-// finalize derives the hot-path tables: the inline step from fb, the
-// count of explicit fraction bits at each scale minScale+i (negative in
-// a posit's region scales), and the search bounds from the cuts. Both
-// builders call it last.
+// finalize derives the hot-path tables: the search bounds from the
+// cuts, then the inline step from fb, the count of explicit fraction
+// bits at each scale minScale+i, and the cuts' own rounding of the
+// binades without them. Both builders call it last.
 func (t *Tables) finalize(minScale int, fb []int8) {
-	if t.ieee {
-		fb = fb[:len(fb)-1] // the top binade can round past maxFinite: roundFrom decides it
-	}
-	t.inline = newInlineTable(minScale, fb)
 	p := 0
 	for e := range t.cutByE {
 		first := uint64(e) << 52
@@ -81,6 +80,10 @@ func (t *Tables) finalize(minScale int, fb []int8) {
 		}
 		t.cutByE[e] = uint16(p)
 	}
+	if t.ieee {
+		fb = fb[:len(fb)-1] // the top binade can round past maxFinite: roundFrom decides it
+	}
+	t.inline = newInlineTable(minScale, fb, func(x float64) float64 { return t.roundFrom(x, 0) })
 }
 
 // positSpec and miniSpec are the registry identities of a format
@@ -121,12 +124,7 @@ func buildPositTables(c posit.Config) *Tables {
 	// Posits never round a real result past maxpos (clamp, not NaR),
 	// so the overflow threshold sits at infinity.
 	t.cut[t.maxPat+1] = math.Float64bits(math.Inf(1))
-	minScale := c.MinScale()
-	fb := make([]int8, c.MaxScale()-minScale+1)
-	for i := range fb {
-		fb[i] = int8(rawFracBits(c, minScale+i))
-	}
-	t.finalize(minScale, fb)
+	t.finalize(c.MinScale(), positFracBits(c))
 	return t
 }
 
@@ -170,55 +168,6 @@ func buildMiniTables(f minifloat.Format) *Tables {
 	return t
 }
 
-// Tie-op codes for the boundary-hit resolvers: how roundPat decides a
-// result that lands exactly on a rounding boundary. Landing exactly on
-// a boundary is the only case where the float64 image of a result does
-// not determine the rounding — everywhere else the true result
-// provably sits on the same side of the (float64-representable)
-// boundary as its correctly rounded image (see exact.go).
-const (
-	tieExact uint8 = iota // r is the exact result: a hit is a genuine tie → even pattern
-	tieSum                // r = fl(x+y): resolve by the TwoSum residual
-	tieDiv                // r = fl(x/y): resolve by the FMA remainder against y
-	tieSqrt               // r = fl(√x): resolve by the FMA remainder of r²
-)
-
-// boundaryTie returns which side of the boundary the exact result is
-// on, in magnitude terms: -1 below, +1 above, 0 exactly on it (a
-// genuine tie).
-func boundaryTie(op uint8, x, y, r float64) int {
-	var s float64
-	switch op {
-	case tieSum:
-		// Knuth TwoSum: the residual e with x+y = r+e exactly. Only the
-		// sign matters, and the residual of a correctly rounded sum is
-		// exact in float64.
-		bv := r - x
-		s = (x - (r - bv)) + (y - bv)
-	case tieDiv:
-		// exact - r = (x - r·y)/y: the sign of -FMA(r,y,-x) flipped by
-		// the sign of y.
-		s = -math.FMA(r, y, -x)
-		if y < 0 {
-			s = -s
-		}
-	case tieSqrt:
-		// exact - r has the sign of x - r², which FMA gives exactly.
-		s = -math.FMA(r, r, -x)
-	default: // tieExact
-		return 0
-	}
-	if s == 0 {
-		return 0
-	}
-	// s is signed like (exact - r) in value terms; the magnitude
-	// direction flips for negative r.
-	if (s > 0) == (r > 0) {
-		return 1
-	}
-	return -1
-}
-
 // search returns the largest p with cut[p] <= a, for magnitude bits a
 // (sign bit clear), bisecting only between the bounds cutByE gives a's
 // binade.
@@ -238,19 +187,15 @@ func (t *Tables) search(a uint64) uint32 {
 }
 
 // locate returns the positive pattern whose rounding interval contains
-// the magnitude with float64 bits a (0 < value < ∞). For IEEE formats
-// the result can be maxPat+1, meaning overflow to infinity; posits
-// clamp to maxpos and never round a nonzero magnitude to zero.
-func (t *Tables) locate(a uint64, op uint8, x, y, r float64) uint32 {
+// the magnitude with float64 bits a (0 < value < ∞), where the exact
+// result is a + up in magnitude: only up's sign matters, and only on a
+// boundary. For IEEE formats the result can be maxPat+1, meaning
+// overflow to infinity; posits clamp to maxpos and never round a
+// nonzero magnitude to zero.
+func (t *Tables) locate(a uint64, up float64) uint32 {
 	p := t.search(a)
-	if p > 0 && t.cut[p] == a {
-		// Exactly on the boundary between p-1 and p.
-		switch s := boundaryTie(op, x, y, r); {
-		case s < 0:
-			p--
-		case s == 0 && p&1 == 1:
-			p-- // genuine tie: the even pattern of {p-1, p}
-		}
+	if p > 0 && t.cut[p] == a && (up < 0 || up == 0 && p&1 == 1) {
+		p-- // below the boundary between p-1 and p, or a genuine tie to the even pattern
 	}
 	if !t.ieee {
 		if p > t.maxPat {
@@ -277,9 +222,10 @@ func (t *Tables) pattern(p uint32, neg bool) uint16 {
 
 // roundPat rounds any float64 into the format's pattern space with the
 // format's own special-value semantics (NaR/NaN/Inf, signed zeros,
-// clamping). op names how to resolve an exact boundary hit; x and y
-// are the tie resolver's operands (ignored for tieExact).
-func (t *Tables) roundPat(r float64, op uint8, x, y float64) uint16 {
+// clamping). res is the error of r, signed like exact − r: a boundary
+// hit goes to the side of res, and to the even pattern when res is 0,
+// as it is for an exact r.
+func (t *Tables) roundPat(r, res float64) uint16 {
 	if r == 0 {
 		if t.ieee && math.Signbit(r) {
 			return t.signPat
@@ -296,7 +242,11 @@ func (t *Tables) roundPat(r float64, op uint8, x, y float64) uint16 {
 		}
 		return t.pattern(uint32(t.infPat), neg)
 	}
-	p := t.locate(math.Float64bits(r)&^signBit64, op, x, y, r)
+	up := res
+	if neg {
+		up = -res
+	}
+	p := t.locate(math.Float64bits(r)&^signBit64, up)
 	if t.ieee && p > t.maxPat {
 		p = uint32(t.infPat)
 	}
@@ -305,8 +255,8 @@ func (t *Tables) roundPat(r float64, op uint8, x, y float64) uint16 {
 
 // roundFrom is roundPat composed with the decode table: the rounded
 // result as a float64 value, for the value-domain fast formats.
-func (t *Tables) roundFrom(r float64, op uint8, x, y float64) float64 {
-	return t.decode[t.roundPat(r, op, x, y)]
+func (t *Tables) roundFrom(r, res float64) float64 {
+	return t.decode[t.roundPat(r, res)]
 }
 
 // Spec returns the format identity the tables were built for.
@@ -318,7 +268,7 @@ func (t *Tables) Width() int { return t.width }
 // MemBytes returns the resident size of the tables, for capacity
 // planning and the benchmark report.
 func (t *Tables) MemBytes() int {
-	return len(t.decode)*8 + len(t.cut)*8 + len(t.inline)*16 + len(t.cutByE)*2
+	return len(t.decode)*8 + len(t.cut)*8 + len(t.inline)*32 + len(t.cutByE)*2
 }
 
 // Decode returns the exact float64 value of pattern p.
@@ -328,4 +278,4 @@ func (t *Tables) Decode(p uint16) float64 { return t.decode[p&t.patMask] }
 // pattern. An external float64 is its own exact value, so a boundary
 // hit is a genuine tie (round to even pattern) — bit-identical to the
 // integer pipeline's FromFloat64.
-func (t *Tables) Encode(x float64) uint16 { return t.roundPat(x, tieExact, 0, 0) }
+func (t *Tables) Encode(x float64) uint16 { return t.roundPat(x, 0) }

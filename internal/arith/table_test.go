@@ -105,9 +105,9 @@ func TestTablesEncodeBoundariesExhaustive(t *testing.T) {
 // TestTablesUnaryExhaustive runs the value-domain Sqrt and the
 // reciprocal (Div with unit numerator) through the fast format for all
 // 2^width patterns and compares with the pipeline — covering every root
-// and reciprocal that leaves the inline step (specials, region scales,
-// the IEEE top binade, boundary hits), which the engine rounds from the
-// float64 result, resolving a boundary hit by tieSqrt or tieDiv.
+// and reciprocal that leaves the inline step (specials, the IEEE top
+// binade, boundary hits), which the engine rounds from the float64
+// result as an exact value.
 func TestTablesUnaryExhaustive(t *testing.T) {
 	for _, tf := range tabbedFormats(t) {
 		t.Run(tf.name, func(t *testing.T) {
@@ -371,22 +371,23 @@ func TestWideEngineSingleflight(t *testing.T) {
 
 // TestTablesMemBytes checks that MemBytes counts every table a build
 // keeps: 2^w decoded values, the cuts, the inline rounding table (2048
-// {mask, tie} pairs) and the per-binade search bounds (2049 uint16).
+// {add, mask, match, par} entries) and the per-binade search bounds
+// (2049 uint16).
 func TestTablesMemBytes(t *testing.T) {
 	for _, tf := range tabbedFormats(t) {
 		tab, _ := arith.TablesOf(tf.fast)
 		n := 1 << tab.Width()
-		want := n*8 + len(arith.CutsForTest(tab))*8 + 2048*16 + 2049*2
+		want := n*8 + len(arith.CutsForTest(tab))*8 + 2048*32 + 2049*2
 		if got := tab.MemBytes(); got != want {
 			t.Errorf("%s: MemBytes = %d, want %d", tf.name, got, want)
 		}
 	}
 	// posit8es0 by hand: 256 decoded values (2048 B), 129 cuts
-	// (1032 B), the inline table (32768 B) and the search bounds
+	// (1032 B), the inline table (65536 B) and the search bounds
 	// (4098 B).
 	tab, _ := arith.TablesOf(arith.MustByName("posit8es0"))
-	if got := tab.MemBytes(); got != 39946 {
-		t.Errorf("posit8es0: MemBytes = %d, want 39946", got)
+	if got := tab.MemBytes(); got != 72714 {
+		t.Errorf("posit8es0: MemBytes = %d, want 72714", got)
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 //
 // Building a format's engine costs up to milliseconds (a table engine
 // decodes all 2^16 patterns and 2^15 boundaries through the exact
-// pipeline; every engine fills a 32 KB inline table), so engines are
-// built lazily, once per process, the first time any caller — a solver
-// kernel, positd's /v1/convert, the experiment runner — operates in the
-// format. A per-spec sync.Once gives singleflight semantics: concurrent
+// pipeline; every engine fills a 64 KB inline table, probing the
+// binades without fraction bits through its own rounding), so engines
+// are built lazily, once per process, the first time any caller — a
+// solver kernel, positd's /v1/convert, the experiment runner —
+// operates in the format. A per-spec sync.Once gives singleflight semantics: concurrent
 // first users of the same config block on one build instead of racing
 // duplicates, and two format values of one spec (arith.Posit32e2 and
 // arith.MustByName("posit32es2")) share it.

@@ -10,10 +10,11 @@ import (
 // The sum sites of the table engine (Add/Sub and the Dot, Axpy,
 // MulAdd, TrailingUpdate and MatVec kernels) settle a float64 sum that
 // lands exactly on a rounding boundary inline, by the TwoSum residual;
-// a quotient there (Div, DivKernel) goes to the engine, which takes its
-// side from the FMA remainder. These tests aim operand pairs at
-// rounding boundaries in every binade of every tabled format and check
-// each site against the integer pipeline.
+// a quotient there (Div, DivKernel) goes to the engine, which rounds it
+// as an exact value, since only an exact quotient lands on a boundary.
+// These tests aim operand pairs at rounding boundaries in every binade
+// of every tabled format and check each site against the integer
+// pipeline.
 
 // boundaryPairs returns operand pairs (v, h) of format values aimed at
 // the rounding boundaries B next to positive finite patterns v: h = B-v
@@ -252,4 +253,51 @@ func TestQuotientBoundaryTies(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestQuotientAndRootCutsExact enumerates, where it can, why the table
+// engine may round a quotient or root on a rounding boundary as an
+// exact value: a float64 root of any value of a tabled format, and a
+// float64 quotient of any two values of an 8-bit format, that lands
+// exactly on a boundary has a zero FMA remainder, so it is exact. (In
+// today's tabled formats no root lands on one at all; the test logs
+// the count.)
+func TestQuotientAndRootCutsExact(t *testing.T) {
+	var roots, quotients int
+	for _, tf := range tabbedFormats(t) {
+		tab, _ := arith.TablesOf(tf.fast)
+		onCut := map[uint64]bool{}
+		for _, c := range arith.CutsForTest(tab)[1:] {
+			if c < 0x7ff<<52 {
+				onCut[c] = true
+			}
+		}
+		hit := func(r float64) bool { return onCut[math.Float64bits(r)&^(1<<63)] }
+		n := 1 << tab.Width()
+		for p := 0; p < n; p++ {
+			x := tab.Decode(uint16(p))
+			if r := math.Sqrt(x); hit(r) {
+				roots++
+				if math.FMA(r, r, -x) != 0 {
+					t.Fatalf("%s: √%g = %g lies on a cut with a nonzero remainder", tf.name, x, r)
+				}
+			}
+			if tab.Width() > 8 {
+				continue
+			}
+			for q := 0; q < n; q++ {
+				y := tab.Decode(uint16(q))
+				if r := x / y; hit(r) {
+					quotients++
+					if math.FMA(r, y, -x) != 0 {
+						t.Fatalf("%s: %g/%g = %g lies on a cut with a nonzero remainder", tf.name, x, y, r)
+					}
+				}
+			}
+		}
+	}
+	if quotients == 0 {
+		t.Fatal("no quotient on a cut")
+	}
+	t.Logf("%d roots and %d quotients on a cut, every one exact", roots, quotients)
 }

@@ -126,9 +126,9 @@ func RelErrorL2(got, want []complex128) float64 {
 	var num, den float64
 	for i := range want {
 		d := got[i] - want[i]
-		num += real(d)*real(d) + imag(d)*imag(d)
+		num += float64(real(d)*real(d)) + float64(imag(d)*imag(d))
 		w := want[i]
-		den += real(w)*real(w) + imag(w)*imag(w)
+		den += float64(real(w)*real(w)) + float64(imag(w)*imag(w))
 	}
 	if den == 0 {
 		return math.Sqrt(num)
@@ -165,7 +165,11 @@ func refTransform(x []complex128) {
 				ang := -2 * math.Pi * float64(k) / float64(length)
 				w := complex(math.Cos(ang), math.Sin(ang))
 				a := x[start+k]
-				t := w * x[start+k+length/2]
+				// w·y with each product rounded, as amd64's complex
+				// multiply rounds it: arm64 would fuse w*y.
+				y := x[start+k+length/2]
+				wr, wi, yr, yi := real(w), imag(w), real(y), imag(y)
+				t := complex(float64(wr*yr)-float64(wi*yi), float64(wr*yi)+float64(wi*yr))
 				x[start+k] = a + t
 				x[start+k+length/2] = a - t
 			}

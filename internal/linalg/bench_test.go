@@ -1,6 +1,7 @@
 package linalg_test
 
 import (
+	"math"
 	"testing"
 
 	"positlab/internal/arith"
@@ -120,6 +121,39 @@ func BenchmarkCholesky200DenseFloat32(b *testing.B)   { benchCholesky200Dense(b,
 func BenchmarkCholesky200DensePosit32e2(b *testing.B) { benchCholesky200Dense(b, arith.Posit32e2) }
 func BenchmarkCholesky200DensePosit32e3(b *testing.B) { benchCholesky200Dense(b, arith.Posit32e3) }
 func BenchmarkCholesky200DensePosit16e1(b *testing.B) { benchCholesky200Dense(b, arith.Posit16e1) }
+
+// gradedDense is denseDominant(n) scaled symmetrically, D·A·D with
+// D = diag(2^(-10+12i/(n-1))), so its diagonal spans 2^-12 to 2^12, as
+// the diagonals of Table III's scaled matrices do. Many of its
+// trailing-update products fall below a 16-bit format's scales with
+// fraction bits: into a posit's region scales, past its minpos, into
+// an IEEE format's subnormals and below them.
+func gradedDense(n int) *linalg.Dense {
+	a := denseDominant(n)
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = math.Exp2(-10 + 12*float64(i)/float64(n-1))
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, d[i]*a.At(i, j)*d[j])
+		}
+	}
+	return a
+}
+
+func benchCholesky200Graded(b *testing.B, f arith.Format) {
+	a := gradedDense(200).ToFormat(f, false)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := solvers.Cholesky(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCholesky200GradedFloat16(b *testing.B)   { benchCholesky200Graded(b, arith.Float16) }
+func BenchmarkCholesky200GradedPosit16e1(b *testing.B) { benchCholesky200Graded(b, arith.Posit16e1) }
 
 func BenchmarkLanczos(b *testing.B) {
 	a := laplacian1D(500)

@@ -209,8 +209,8 @@ func RelErrorL2(a, b []float64) float64 {
 	var num, den float64
 	for i := range b {
 		d := a[i] - b[i]
-		num += d * d
-		den += b[i] * b[i]
+		num += float64(d * d)
+		den += float64(b[i] * b[i])
 	}
 	if den == 0 {
 		return math.Sqrt(num)
