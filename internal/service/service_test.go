@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"positlab/internal/arith"
 	"positlab/internal/runner"
 )
 
@@ -137,6 +139,41 @@ func TestConvertRounding(t *testing.T) {
 	}
 	if out.Stats.MaxRelErr != r.RelErr {
 		t.Fatalf("stats.max_rel_err = %v, want %v", out.Stats.MaxRelErr, r.RelErr)
+	}
+}
+
+// TestEncodingBitsMatchesReference checks /v1/convert's encodings of
+// every registered format of at most 16 bits: for the value of every
+// pattern, and for ±0, ±Inf and NaN, encodingBits returns the pattern
+// and the width that the format's integer-pipeline reference gives.
+func TestEncodingBitsMatchesReference(t *testing.T) {
+	formats := 0
+	for _, name := range arith.Names() {
+		f := arith.MustByName(name)
+		var ref arith.Format
+		var width int
+		if c, ok := arith.PositConfig(f); ok {
+			ref, width = arith.Posit(c), c.N()
+		} else if m, ok := arith.MiniConfig(f); ok {
+			ref, width = arith.Mini(m, f.Name()), m.Width()
+		}
+		if ref == nil || width > 16 {
+			continue
+		}
+		formats++
+		xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+		for p := 0; p < 1<<width; p++ {
+			xs = append(xs, ref.ToFloat64(arith.Num(p)))
+		}
+		for _, x := range xs {
+			bits, w := encodingBits(f, x)
+			if want := uint64(ref.FromFloat64(x)); bits != want || w != width {
+				t.Fatalf("%s: encodingBits(%g) = %#x, %d bits; reference %#x, %d bits", name, x, bits, w, want, width)
+			}
+		}
+	}
+	if formats != 14 {
+		t.Fatalf("checked %d formats of at most 16 bits, want 14", formats)
 	}
 }
 
