@@ -25,8 +25,8 @@ build:
 # Fail, naming the function, when a helper that the fast format's
 # kernel loops or scalar operations call on their common path is no
 # longer inlinable: past Go's inline budget it becomes a call per
-# element or per operation. fastFormat.table is the lazy engine check
-# that every operation makes. A method is listed as T.name and matched
+# element or per operation. fastFormat.table is the lazy inline-table
+# check that every operation makes. A method is listed as T.name and matched
 # as the compiler prints a pointer-receiver method, (*T).name.
 INLINE_HELPERS := inlineTable.round sumExact fastFormat.table
 
@@ -59,11 +59,11 @@ fma:
 # GODEBUG=cpu.fma=off makes the test binaries run as on a CPU without
 # it (math.Exp's other branch, math.FMA in software), and the suite
 # fingerprints, the golden suite files, the result rows and the arith
-# tests aimed at rounding boundaries must not move. The table engine
-# calls no math.FMA, but the wide posits' boundary cases resolve
-# through it (mulExact, divExact, sqrtExact). -exec hands GODEBUG to
-# the test binaries only. Other architectures have no such switch.
-NOFMA_TESTS := TestSuiteFingerprint|TestGoldenSuiteFiles|TestExpFMAPath|TestResultsByteIdentical|TestTablesUnaryExhaustive|TestTable8Exhaustive|TestWideBoundary|TestSumResidualSide|TestQuotientBoundaryTies
+# tests aimed at rounding boundaries must not move: every fast
+# format's boundary products, quotients and roots resolve through
+# math.FMA (mulExact, divExact, sqrtExact). -exec hands GODEBUG to the
+# test binaries only. Other architectures have no such switch.
+NOFMA_TESTS := TestSuiteFingerprint|TestGoldenSuiteFiles|TestExpFMAPath|TestResultsByteIdentical|TestTablesUnaryExhaustive|TestTablesBinaryOpsRandom|TestTable8Exhaustive|TestWideBoundary|TestSumResidualSide|TestQuotientBoundaryTies
 
 nofma:
 	@arch=$$($(GO) env GOARCH); if [ "$$arch" = amd64 ]; then \
@@ -147,16 +147,16 @@ serve:
 	$(GO) run ./cmd/positd -cache .cache/positd
 
 # Reproduce the table-engine rows of BENCH_kernels.json: the 16-bit
-# Cholesky/IR hot paths on the exhaustive-LUT fast path, the one-time
-# table-build cost (with resident bytes per format), and the tabulated
-# 8-bit scalar throughput.
+# Cholesky/IR hot paths on the fast formats, the one-time inline-table
+# build cost (with resident bytes per format), and the 8-bit posit
+# scalar throughput.
 bench-tables:
 	$(GO) test -run '^$$' -bench 'Cholesky200(Graded)?(Float16|BFloat16|Posit16e1|Posit16e2)$$' -benchtime 2s ./internal/linalg/
 	$(GO) test -run '^$$' -bench 'MixedIR' -benchtime 2s ./internal/solvers/
 	$(GO) test -run '^$$' -bench 'TableBuild|FastPosit8' ./internal/arith/
 
-# Capture a CPU profile of the table-driven 16-bit Cholesky hot path
-# and print the top functions. Inspect interactively with
+# Capture a CPU profile of the 16-bit Cholesky hot path (Float16) and
+# print the top functions. Inspect interactively with
 # `go tool pprof /tmp/positlab-cholesky.prof`.
 profile:
 	$(GO) test -run '^$$' -bench 'Cholesky200Float16' -benchtime 2s \

@@ -255,8 +255,7 @@ func PositConfig(f Format) (posit.Config, bool) {
 	case positFormat:
 		return pf.c, true
 	case *fastFormat:
-		c, ok := pf.id.(posit.Config)
-		return c, ok
+		return PositConfig(pf.ref)
 	}
 	return posit.Config{}, false
 }
@@ -271,8 +270,7 @@ func MiniConfig(f Format) (minifloat.Format, bool) {
 	case miniFormat:
 		return mf.f, true
 	case *fastFormat:
-		m, ok := mf.id.(minifloat.Format)
-		return m, ok
+		return MiniConfig(mf.ref)
 	}
 	return minifloat.Format{}, false
 }

@@ -53,7 +53,7 @@ func BenchmarkSlowFloat16(b *testing.B) {
 func BenchmarkNativeFloat64(b *testing.B) { benchFormat(b, arith.Float64) }
 func BenchmarkNativeFloat32(b *testing.B) { benchFormat(b, arith.Float32) }
 
-// Table-build cost: what the first use of a table-backed format pays,
+// Inline-table build cost: what the first use of a fast format pays,
 // once per process. The reported table-bytes metric is the resident
 // footprint per format.
 var sinkTables *arith.Tables

@@ -2,80 +2,80 @@ package arith
 
 import "math"
 
-// The lookup-table engine: what a fast format of at most 16 bits calls
-// off its inline path.
+// The off path: what a fast format (fast.go) does with a result that
+// its inline step leaves.
 //
-// For a format with at most 15 significand bits and scales well inside
-// float64's range, the product of any two format values is *exact* in
-// float64 (<=30 significand bits, exponents bounded), and every sum,
-// quotient, or square root is correctly rounded to 53 bits — far more
-// than the format keeps. Rounding those results against the format's
-// Tables resolves every case without ever leaving float64:
+//   - A zero is a posit's one zero; an IEEE zero rounds inline.
+//   - An exact result — a value handed to FromFloat64, a sum with a
+//     zero TwoSum residual, a product, quotient or root with a zero FMA
+//     remainder — is rounded as a value: on a rounding boundary in a
+//     binade with fraction bits it is a genuine tie, which goes to the
+//     even pattern by the kept-bit parity, and the reference's
+//     FromFloat64 rounds the rest (NaN, infinities, an IEEE top binade,
+//     a boundary in a binade without fraction bits).
+//   - An inexact result is the reference's operation on the operands
+//     as the format holds them.
 //
-//   - Products are exact, so a result on a boundary is a genuine tie —
-//     rounded to the even pattern by the kept-bit parity (Tables.exact;
-//     kept-bit parity equals pattern parity, since the pattern of 2^s
-//     has a zero fraction field whenever there are explicit fraction
-//     bits). A float64 handed to FromFloat64 is exact too and rounds
-//     the same way.
-//   - Sums, quotients, and roots are correctly rounded in float64, and
-//     every boundary of a <=16-bit format is itself a float64 value:
-//     if the rounded result is not *exactly on* a boundary, the exact
-//     result is provably on the same side (|exact-r| <= ½ulp(r) while
-//     |r-B| >= 1 ulp), so rounding r rounds the exact result. A sum
-//     exactly on a boundary is common, since the sum of two format
-//     values is usually exact and often lands on a midpoint; the fast
-//     format settles it itself when its TwoSum residual is zero, a
-//     genuine tie. A nonzero residual, which only an addend off the
-//     format grid makes, says which side the exact sum is on
-//     (Tables.sum). A quotient or a root lands on a boundary only when
-//     it is exact: a boundary has at most 17 significand bits, and
-//     x ≠ B·y or x ≠ B² for format values puts x/y or √x about 2^-33
-//     or more from B, relatively, far beyond float64's half ulp. So
-//     Tables.quo and Tables.root round r as an exact value, as mul
-//     does (TestQuotientAndRootCutsExact enumerates the argument).
-//
-// The upshot: the engine never calls the bit-pattern pipeline. What it
-// gets (zeros of a posit's scalar operations, specials, the IEEE top
-// binade, boundary hits) goes through Tables.roundFrom, pure table
-// lookups plus a binary search within one binade. Bit-identity with
-// the scalar pipeline is asserted exhaustively in table_test.go and,
-// for operands aimed at sum and quotient boundaries, in tie_test.go.
-//
-// Eligibility (checked by exactEligibleMini and FastPosit): width <=
-// 16 and the product of any two format values representable as a
-// normal float64. Every supported posit with n <= 16 qualifies
-// (significand <= 14 bits, |scale| <= 224); an IEEE format qualifies
-// when 2·emax+2 and 2·(emin-frac) stay inside float64's normal
-// exponent range.
+// A format of at most 16 bits seldom meets the last case: the product
+// of two of its values is exact in float64 (at most 30 significand
+// bits, exponents bounded), their sum usually is, and a quotient or
+// root lands on a boundary only when it is exact (a boundary has at
+// most 17 significand bits, and x ≠ B·y or x ≠ B² for format values
+// puts x/y or √x about 2^-33 or more from B, relatively, far beyond
+// float64's half ulp). A wider posit's product needs up to 56
+// significand bits, so its float64 image can land on a boundary with
+// the exact product beside it; the FMA remainder tells the two apart.
 
-func (t *Tables) table() *inlineTable { return t.inline }
-
-// exact rounds an exact x — a product, a quotient or root on a
-// boundary, or a value handed to FromFloat64 — so a boundary hit is a
-// genuine tie: it goes to the even pattern.
-func (t *Tables) exact(x float64) float64 {
-	r, par, ok := t.inline.round(math.Float64bits(x))
-	if ok {
+// exact rounds an exact x.
+func (f *fastFormat) exact(x float64) float64 {
+	r, par, ok := f.table().round(math.Float64bits(x))
+	switch {
+	case ok:
 		return math.Float64frombits(r)
-	}
-	if par != 0 {
+	case par != 0:
 		return math.Float64frombits(r + r&par)
+	case x == 0:
+		return 0 // a posit's
 	}
-	return t.roundFrom(x, 0)
+	return f.ref.ToFloat64(f.ref.FromFloat64(x))
 }
 
-// mul, quo and root round r as an exact value: the product of two
-// format values is, and so is a quotient or root on a boundary.
-func (t *Tables) mul(_, _, r float64) float64 { return t.exact(r) }
+// offMul, offSum, offQuo and offRoot round r = fl(x·y), fl(x+y),
+// fl(x/y) and fl(√x), a result the inline step left. A zero returns
+// before any exactness check. offQuo needs no case for y = 0: x/0 is
+// ±Inf or NaN, whose remainder is NaN, and the reference divides.
 
-func (t *Tables) quo(_, _, r float64) float64 { return t.exact(r) }
+func (f *fastFormat) offMul(x, y, r float64) float64 {
+	if r == 0 || mulExact(x, y, r) {
+		return f.exact(r)
+	}
+	ref := f.ref
+	return ref.ToFloat64(ref.Mul(ref.FromFloat64(x), ref.FromFloat64(y)))
+}
 
-func (t *Tables) root(_, r float64) float64 { return t.exact(r) }
+func (f *fastFormat) offSum(x, y, r float64) float64 {
+	if r == 0 || sumExact(x, y, r) {
+		return f.exact(r)
+	}
+	ref := f.ref
+	return ref.ToFloat64(ref.Add(ref.FromFloat64(x), ref.FromFloat64(y)))
+}
 
-// sum rounds r = fl(x+y), settling a boundary hit by the sign of the
-// TwoSum residual.
-func (t *Tables) sum(x, y, r float64) float64 { return t.roundFrom(r, sumErr(x, y, r)) }
+func (f *fastFormat) offQuo(x, y, r float64) float64 {
+	if r == 0 || divExact(x, y, r) {
+		return f.exact(r)
+	}
+	ref := f.ref
+	return ref.ToFloat64(ref.Div(ref.FromFloat64(x), ref.FromFloat64(y)))
+}
+
+func (f *fastFormat) offRoot(x, r float64) float64 {
+	if r == 0 || sqrtExact(x, r) {
+		return f.exact(r)
+	}
+	ref := f.ref
+	return ref.ToFloat64(ref.Sqrt(ref.FromFloat64(x)))
+}
 
 // --- inline rounding ---
 
@@ -100,7 +100,7 @@ func (t *Tables) sum(x, y, r float64) float64 { return t.roundFrom(r, sumErr(x, 
 //     These are a posit's region scales and its clamps past minpos and
 //     maxpos, and an IEEE format's smallest subnormal binade, the one
 //     below it and its clamps to zero and infinity. par = 0: a tie
-//     there goes to the engine, since the kept-bit parity is not the
+//     there goes to the off path, since the kept-bit parity is not the
 //     pattern parity;
 //   - everything else is zero, so every value leaves the step: NaN and
 //     infinities, a posit's zero, and an IEEE format's top binade,
@@ -115,15 +115,17 @@ type inlineTable [2048]struct{ add, mask, match, par uint64 }
 
 // newInlineTable builds the table of a format with fb[i] fraction bits
 // at scale minScale+i. The binades without fraction bits are probed
-// through value, the format's rounding of an exact float64 magnitude:
-// rounding is monotone, so equal answers at two points mean the same
+// through ref, the format's reference, rounding exact float64
+// magnitudes: rounding is monotone, so equal answers at two points mean the same
 // answer between them, and a boundary of the format, a float64 with
 // far fewer than 53 significand bits, never lies strictly between two
 // adjacent float64 values. A binade whose probes fit none of the
 // single-cut kinds keeps a zero entry.
-func newInlineTable(minScale int, fb []int8, value func(float64) float64) *inlineTable {
+func newInlineTable(minScale int, fb []int8, ref Format) *inlineTable {
 	const m52 = uint64(1)<<52 - 1
-	v := func(b uint64) uint64 { return math.Float64bits(value(math.Float64frombits(b))) }
+	v := func(b uint64) uint64 {
+		return math.Float64bits(ref.ToFloat64(ref.FromFloat64(math.Float64frombits(b))))
+	}
 	t := new(inlineTable)
 	last := v(0) // the answer just below binade 0: zero's
 	for e := range uint64(2047) {

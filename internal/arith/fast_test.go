@@ -23,17 +23,18 @@ var implPairs = []struct {
 	{"posit8e0", arith.FastPosit(posit.Posit8e0), arith.Posit(posit.Posit8e0)},
 	{"float16", arith.FastMini(minifloat.Float16, "Float16"), arith.Mini(minifloat.Float16, "Float16")},
 	{"bfloat16", arith.FastMini(minifloat.BFloat16, "BFloat16"), arith.Mini(minifloat.BFloat16, "BFloat16")},
-	// Too wide for the table engine: FastMini falls back to the reference.
+	// Too wide for FastMini, which falls back to the reference.
 	{"binary32", arith.FastMini(binary32, "binary32"), arith.Mini(binary32, "binary32")},
 }
 
 var binary32 = minifloat.MustNew(8, 23)
 
-// TestEngineSelection pins the engine and the identity of every
-// registered format: the lookup tables for exactly the formats of at
-// most 16 bits, PositConfig for the posit names, MiniConfig for the
-// IEEE small formats. Shadow's reference engine, scaling.MuFor's μ and
-// /v1/convert's encodings all read these accessors.
+// TestEngineSelection pins the implementation and the identity of
+// every registered format: a fast format, with an inline table, for
+// every format but the native float64 and float32, PositConfig for the
+// posit names, MiniConfig for the IEEE small formats. Shadow's
+// reference engine, scaling.MuFor's μ and /v1/convert's encodings all
+// read these accessors.
 func TestEngineSelection(t *testing.T) {
 	widths := map[string]int{"float64": 64, "float32": 32, "float16": 16, "bfloat16": 16, "fp8e5m2": 8, "fp8e4m3": 8}
 	minis := map[string]bool{"float16": true, "bfloat16": true, "fp8e5m2": true, "fp8e4m3": true}
@@ -48,8 +49,8 @@ func TestEngineSelection(t *testing.T) {
 				t.Fatalf("%s: no expected width", name)
 			}
 		}
-		if _, ok := arith.TablesOf(f); ok != (n <= 16) {
-			t.Errorf("%s: TablesOf ok = %v for a %d-bit format", name, ok, n)
+		if _, ok := arith.TablesOf(f); ok != (isPosit || minis[name]) {
+			t.Errorf("%s: TablesOf ok = %v", name, ok)
 		}
 		c, ok := arith.PositConfig(f)
 		if ok != isPosit || isPosit && (c.N() != n || c.ES() != es) {

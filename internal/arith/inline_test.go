@@ -6,18 +6,18 @@ import (
 	"testing"
 
 	"positlab/internal/arith"
-	"positlab/internal/bigfp"
 )
 
 // TestInlineEveryBinade probes the inline rounding step of every fast
 // format in every float64 binade, at both signs: the binade's first and
 // last floats and their neighbors, 1.5·2^e ±1 ulp, random mantissas,
-// and rounding boundaries ±1 ulp — every cut of a tabled format, and
-// for a wide posit the cut above each random probe. Exactly on a cut
-// the step must leave the value to the engine, which knows the exact
-// result's side; everywhere else it must round, and equal the integer
-// pipeline's FromFloat64. Only NaN, the infinities, a posit's zero and
-// an IEEE format's top binade may leave the step off a cut.
+// and rounding boundaries ±1 ulp (refCut) — every cut of a format of at
+// most 16 bits, and in every format the cut above each random probe.
+// Exactly on a cut the step must leave the value to the off path, which
+// knows the exact result's side; everywhere else it must round, and
+// equal the integer pipeline's FromFloat64. Only NaN, the infinities, a
+// posit's zero and an IEEE format's top binade may leave the step off a
+// cut.
 func TestInlineEveryBinade(t *testing.T) {
 	fasts, refs := refFormats()
 	for i, f := range fasts {
@@ -31,21 +31,17 @@ func TestInlineEveryBinade(t *testing.T) {
 				top = uint64(m.Emax() + 1023)
 			}
 			var cuts []uint64
-			if tab, ok := arith.TablesOf(f); ok {
-				cuts = arith.CutsForTest(tab)
+			if refMaxPat(ref) < 1<<16 {
+				cuts = refCuts(ref)
 			}
-			cutAbove := func(a uint64) uint64 { return 0 }
-			if c, ok := arith.PositConfig(f); ok && cuts == nil {
-				// The boundary between the positive patterns p and p+1
-				// is the (n+1)-bit pattern 2p+1.
-				cutAbove = func(a uint64) uint64 {
-					p := uint64(c.FromFloat64(math.Float64frombits(a)))
-					if p >= uint64(c.MaxPos()) {
-						return 0
-					}
-					v, _ := bigfp.PatternValue(c.N()+1, c.ES(), 2*p+1).Float64()
-					return math.Float64bits(v)
+			// cutAbove returns the cut above the pattern a rounds to,
+			// or 0 when a rounds to an IEEE infinity.
+			cutAbove := func(a uint64) uint64 {
+				p := uint64(ref.FromFloat64(math.Float64frombits(a)))
+				if p > refMaxPat(ref) {
+					return 0
 				}
+				return refCut(ref, p+1)
 			}
 			probed := 0
 			check := func(a uint64) {

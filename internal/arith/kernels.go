@@ -15,9 +15,9 @@ import "math"
 // rounding) but never the roundings themselves, which the differential
 // tests in kernels_test.go assert format by format.
 //
-// The fast value-domain formats (one set of loops for both of their
-// engines) and the native float64/float32 implement BulkFormat below,
-// and the Observe wrapper forwards to them.
+// The fast value-domain formats (one set of loops for all of them) and
+// the native float64/float32 implement BulkFormat below, and the
+// Observe wrapper forwards to them.
 // Callers obtain kernels through BulkOf, which falls back to a generic
 // scalar implementation so every Format — including the slow
 // integer-pipeline references — works unchanged.
@@ -146,15 +146,13 @@ func (s scalarKernels) DivKernel(alpha Num, x []Num) {
 //     IEEE format keeps it;
 //  3. a sum exactly on a boundary whose TwoSum residual is zero is a
 //     genuine tie and goes to the even pattern;
-//  4. anything else calls the format's engine, as the scalar operation
-//     does.
+//  4. anything else takes the format's off path (exact.go), as the
+//     scalar operation does.
 //
 // Steps 1 and 3 are the scalar operations' own, and step 2 gives what
-// the engine gives for a zero, so a kernel rounds as its defining
+// the off path gives for a zero, so a kernel rounds as its defining
 // sequence of scalar operations — kernels_test.go, table_test.go,
-// tie_test.go and wide_test.go pin them together differentially. The
-// engine is read from the format on step 4 only: held in a local, its
-// interface value takes registers that the loop's common path needs.
+// tie_test.go and wide_test.go pin them together differentially.
 
 func (f *fastFormat) DotKernel(x, y []Num) Num {
 	it, ieee := f.table(), f.ieee
@@ -170,7 +168,7 @@ func (f *fastFormat) DotKernel(x, y []Num) Num {
 				m = 0 // posits have one zero
 			}
 		} else {
-			m = f.eng.mul(xi, yi, m)
+			m = f.offMul(xi, yi, m)
 		}
 		sum := s + m
 		if r, par, ok := it.round(math.Float64bits(sum)); ok {
@@ -183,7 +181,7 @@ func (f *fastFormat) DotKernel(x, y []Num) Num {
 		} else if par != 0 && sumExact(s, m, sum) {
 			s = math.Float64frombits(r + r&par)
 		} else {
-			s = f.eng.sum(s, m, sum)
+			s = f.offSum(s, m, sum)
 		}
 	}
 	return n64(s)
@@ -207,7 +205,7 @@ func (f *fastFormat) ScaleKernel(alpha Num, x []Num) {
 			}
 			x[i] = n64(m)
 		} else {
-			x[i] = n64(f.eng.mul(a, xi, m))
+			x[i] = n64(f.offMul(a, xi, m))
 		}
 	}
 }
@@ -227,7 +225,7 @@ func (f *fastFormat) MulAddKernel(alpha Num, x, y, dst []Num) {
 				m = 0
 			}
 		} else {
-			m = f.eng.mul(a, xi, m)
+			m = f.offMul(a, xi, m)
 		}
 		yi := f64(y[i])
 		sum := m + yi
@@ -241,7 +239,7 @@ func (f *fastFormat) MulAddKernel(alpha Num, x, y, dst []Num) {
 		} else if par != 0 && sumExact(m, yi, sum) {
 			dst[i] = Num(r + r&par)
 		} else {
-			dst[i] = n64(f.eng.sum(m, yi, sum))
+			dst[i] = n64(f.offSum(m, yi, sum))
 		}
 	}
 }
@@ -260,7 +258,7 @@ func (f *fastFormat) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 					m = 0
 				}
 			} else {
-				m = f.eng.mul(vi, xi, m)
+				m = f.offMul(vi, xi, m)
 			}
 			sum := s + m
 			if r, par, ok := it.round(math.Float64bits(sum)); ok {
@@ -273,7 +271,7 @@ func (f *fastFormat) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 			} else if par != 0 && sumExact(s, m, sum) {
 				s = math.Float64frombits(r + r&par)
 			} else {
-				s = f.eng.sum(s, m, sum)
+				s = f.offSum(s, m, sum)
 			}
 		}
 		y[i] = n64(s)
@@ -298,7 +296,7 @@ func (f *fastFormat) DivKernel(alpha Num, x []Num) {
 			}
 			x[i] = n64(q)
 		} else {
-			x[i] = n64(f.eng.quo(xi, a, q))
+			x[i] = n64(f.offQuo(xi, a, q))
 		}
 	}
 }

@@ -6,94 +6,137 @@ import (
 	"testing"
 
 	"positlab/internal/arith"
+	"positlab/internal/bigfp"
 	"positlab/internal/minifloat"
 	"positlab/internal/posit"
 )
 
-// tabbedFormat pairs a table-backed fast format with its slow
-// integer-pipeline reference — the ground truth every table entry and
-// every rounded value-domain result is checked against.
-type tabbedFormat struct {
-	name string
-	fast arith.Format // table-accelerated value-domain implementation
-	slow arith.Format // integer pipeline reference
+// narrowFormat pairs a fast format of at most 16 bits with its slow
+// integer-pipeline reference — the ground truth every rounded
+// value-domain result is checked against.
+type narrowFormat struct {
+	name  string
+	width int
+	fast  arith.Format // value-domain implementation
+	slow  arith.Format // integer pipeline reference
 }
 
-func tabbedFormats(t *testing.T) []tabbedFormat {
+func narrowFormats(t *testing.T) []narrowFormat {
 	t.Helper()
-	var fs []tabbedFormat
+	var fs []narrowFormat
 	for _, n := range []int{8, 16} {
 		for es := 0; es <= 4; es++ {
-			fs = append(fs, tabbedFormat{
-				name: fmt.Sprintf("posit%des%d", n, es),
-				fast: arith.MustByName(fmt.Sprintf("posit%des%d", n, es)),
-				slow: arith.Posit(posit.MustNew(n, es)),
+			fs = append(fs, narrowFormat{
+				name:  fmt.Sprintf("posit%des%d", n, es),
+				width: n,
+				fast:  arith.MustByName(fmt.Sprintf("posit%des%d", n, es)),
+				slow:  arith.Posit(posit.MustNew(n, es)),
 			})
 		}
 	}
 	fs = append(fs,
-		tabbedFormat{"float16", arith.MustByName("float16"), arith.Mini(minifloat.Float16, "Float16")},
-		tabbedFormat{"bfloat16", arith.MustByName("bfloat16"), arith.Mini(minifloat.BFloat16, "BFloat16")},
-		tabbedFormat{"fp8e5m2", arith.MustByName("fp8e5m2"), arith.Mini(minifloat.MustNew(5, 2), "FP8-E5M2")},
-		tabbedFormat{"fp8e4m3", arith.MustByName("fp8e4m3"), arith.Mini(minifloat.MustNew(4, 3), "FP8-E4M3")},
+		narrowFormat{"float16", 16, arith.MustByName("float16"), arith.Mini(minifloat.Float16, "Float16")},
+		narrowFormat{"bfloat16", 16, arith.MustByName("bfloat16"), arith.Mini(minifloat.BFloat16, "BFloat16")},
+		narrowFormat{"fp8e5m2", 8, arith.MustByName("fp8e5m2"), arith.Mini(minifloat.MustNew(5, 2), "FP8-E5M2")},
+		narrowFormat{"fp8e4m3", 8, arith.MustByName("fp8e4m3"), arith.Mini(minifloat.MustNew(4, 3), "FP8-E4M3")},
 	)
 	for _, f := range fs {
 		if _, ok := arith.TablesOf(f.fast); !ok {
-			t.Fatalf("%s: expected a table-backed fast format", f.name)
+			t.Fatalf("%s: expected a fast format", f.name)
 		}
 	}
 	return fs
 }
 
-// TestTablesDecodeExhaustive checks, for every pattern of every
-// table-backed format, that the decode table equals the pipeline's
-// ToFloat64 and that Encode maps each decoded value to the same
-// canonical pattern FromFloat64 produces. This is the tentpole's
-// bit-identity claim at its root: 2^width exact decodes, 2^width exact
-// re-encodes, zero tolerance.
+// refCut is the tests' rounding-boundary oracle, independent of the
+// fast formats: the float64 bits of the boundary between the positive
+// patterns p−1 and p of a reference format ref (Posit or Mini), for p
+// from 1 to refMaxPat(ref)+1, where the last is the overflow threshold.
+// A posit's boundary is the value of the (n+1)-bit pattern 2p−1, the
+// pattern-space midpoint, evaluated in math/big; its overflow
+// threshold is +Inf, since a posit clamps at maxpos. An IEEE boundary
+// is the midpoint of adjacent values, and the threshold the midpoint
+// of maxFinite and 2^(emax+1), at or beyond which a result is
+// infinite. Every boundary is exact in float64.
+func refCut(ref arith.Format, p uint64) uint64 {
+	if c, ok := arith.PositConfig(ref); ok {
+		if p > uint64(c.MaxPos()) {
+			return math.Float64bits(math.Inf(1))
+		}
+		v, _ := bigfp.PatternValue(c.N()+1, c.ES(), 2*p-1).Float64()
+		return math.Float64bits(v)
+	}
+	m, _ := arith.MiniConfig(ref)
+	hi := math.Ldexp(1, m.Emax()+1)
+	if p <= uint64(m.MaxFinite()) {
+		hi = ref.ToFloat64(arith.Num(p))
+	}
+	return math.Float64bits((ref.ToFloat64(arith.Num(p-1)) + hi) / 2)
+}
+
+// refMaxPat returns the largest positive finite pattern of ref.
+func refMaxPat(ref arith.Format) uint64 {
+	if c, ok := arith.PositConfig(ref); ok {
+		return uint64(c.MaxPos())
+	}
+	m, _ := arith.MiniConfig(ref)
+	return uint64(m.MaxFinite())
+}
+
+// refCuts returns every boundary of a reference of at most 16 bits:
+// cut[p] = refCut(ref, p) for p from 1 to refMaxPat(ref)+1, and
+// cut[0] = 0.
+func refCuts(ref arith.Format) []uint64 {
+	cut := make([]uint64, refMaxPat(ref)+2)
+	for p := 1; p < len(cut); p++ {
+		cut[p] = refCut(ref, uint64(p))
+	}
+	return cut
+}
+
+// TestTablesDecodeExhaustive checks, for the value of every pattern of
+// every fast format of at most 16 bits, that the fast format's
+// FromFloat64 keeps it (a format value rounds to itself) and rounds it
+// as the reference's FromFloat64 does: 2^width values, zero tolerance.
 func TestTablesDecodeExhaustive(t *testing.T) {
-	for _, tf := range tabbedFormats(t) {
+	for _, tf := range narrowFormats(t) {
 		t.Run(tf.name, func(t *testing.T) {
-			tab, _ := arith.TablesOf(tf.fast)
-			n := 1 << tab.Width()
-			for p := 0; p < n; p++ {
-				got := tab.Decode(uint16(p))
-				want := tf.slow.ToFloat64(arith.Num(p))
-				if math.Float64bits(got) != math.Float64bits(want) &&
-					!(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Fatalf("Decode(%#x) = %g (bits %x), pipeline = %g (bits %x)",
-						p, got, math.Float64bits(got), want, math.Float64bits(want))
+			f := tf.fast
+			for p := 0; p < 1<<tf.width; p++ {
+				v := tf.slow.ToFloat64(arith.Num(p))
+				got := f.FromFloat64(v)
+				if !eqNum(f, got, arith.Num(math.Float64bits(v))) {
+					t.Fatalf("pattern %#x: FromFloat64(%g) = %g (bits %x), not the value itself", p, v, f.ToFloat64(got), uint64(got))
 				}
-				ep := tab.Encode(want)
-				wp := uint16(tf.slow.FromFloat64(want))
-				if ep != wp {
-					t.Fatalf("Encode(Decode(%#x)) = %#x, pipeline FromFloat64 = %#x", p, ep, wp)
+				want := tf.slow.ToFloat64(tf.slow.FromFloat64(v))
+				if !eqNum(f, got, arith.Num(math.Float64bits(want))) {
+					t.Fatalf("pattern %#x: FromFloat64(%g) = %g, pipeline %g", p, v, f.ToFloat64(got), want)
 				}
 			}
 		})
 	}
 }
 
-// TestTablesEncodeBoundariesExhaustive probes Encode exactly at every
-// rounding boundary the tables store, one float64 ulp below, and one
-// above — positive and negated — against the pipeline's FromFloat64.
-// Ties (the boundary itself) exercise the even-pattern rule; the ±1-ulp
-// neighbors pin the boundary placement to the exact cut.
+// TestTablesEncodeBoundariesExhaustive probes FromFloat64 exactly at
+// every rounding boundary of the reference (refCut), one float64 ulp
+// below, and one above — positive and negated — against the pipeline's
+// FromFloat64. Ties (the boundary itself) exercise the even-pattern
+// rule; the ±1-ulp neighbors pin the boundary placement to the exact
+// cut.
 func TestTablesEncodeBoundariesExhaustive(t *testing.T) {
-	for _, tf := range tabbedFormats(t) {
+	for _, tf := range narrowFormats(t) {
 		t.Run(tf.name, func(t *testing.T) {
-			tab, _ := arith.TablesOf(tf.fast)
-			for _, cb := range arith.CutsForTest(tab) {
+			for _, cb := range refCuts(tf.slow) {
 				b := math.Float64frombits(cb)
 				for _, v := range []float64{
 					b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1)),
 				} {
 					for _, x := range []float64{v, -v} {
-						got := tab.Encode(x)
-						want := uint16(tf.slow.FromFloat64(x))
-						if got != want {
-							t.Fatalf("Encode(%g / bits %x) = %#x, pipeline = %#x",
-								x, math.Float64bits(x), got, want)
+						got := tf.fast.FromFloat64(x)
+						want := tf.slow.ToFloat64(tf.slow.FromFloat64(x))
+						if !eqNum(tf.fast, got, arith.Num(math.Float64bits(want))) {
+							t.Fatalf("FromFloat64(%g / bits %x) = %g, pipeline %g",
+								x, math.Float64bits(x), tf.fast.ToFloat64(got), want)
 						}
 					}
 				}
@@ -106,14 +149,13 @@ func TestTablesEncodeBoundariesExhaustive(t *testing.T) {
 // reciprocal (Div with unit numerator) through the fast format for all
 // 2^width patterns and compares with the pipeline — covering every root
 // and reciprocal that leaves the inline step (specials, the IEEE top
-// binade, boundary hits), which the engine rounds from the float64
-// result as an exact value.
+// binade, boundary hits), which the off path rounds as an exact value
+// or through the reference.
 func TestTablesUnaryExhaustive(t *testing.T) {
-	for _, tf := range tabbedFormats(t) {
+	for _, tf := range narrowFormats(t) {
 		t.Run(tf.name, func(t *testing.T) {
-			tab, _ := arith.TablesOf(tf.fast)
 			one := tf.fast.One()
-			n := 1 << tab.Width()
+			n := 1 << tf.width
 			for p := 0; p < n; p++ {
 				v := tf.slow.ToFloat64(arith.Num(p))
 				x := tf.fast.FromFloat64(v)
@@ -145,10 +187,9 @@ func TestTablesBinaryOpsRandom(t *testing.T) {
 	if testing.Short() {
 		pairs = 4000
 	}
-	for _, tf := range tabbedFormats(t) {
+	for _, tf := range narrowFormats(t) {
 		t.Run(tf.name, func(t *testing.T) {
-			tab, _ := arith.TablesOf(tf.fast)
-			mask := uint64(1)<<tab.Width() - 1
+			mask := uint64(1)<<tf.width - 1
 			rng := uint64(0x1F3A5C7E9B2D4F68)
 			next := func() uint64 {
 				rng ^= rng << 13
@@ -180,8 +221,8 @@ func TestTablesBinaryOpsRandom(t *testing.T) {
 	}
 }
 
-// TestTable8Exhaustive compares the 8-bit posit formats against the
-// integer pipeline over every operand pair — all 2^16 combinations per
+// TestTable8Exhaustive compares the 8-bit fast posit formats against
+// the integer pipeline over every operand pair — all 2^16 combinations per
 // es, every binary op, plus the square root.
 func TestTable8Exhaustive(t *testing.T) {
 	for es := 0; es <= 4; es++ {
@@ -197,7 +238,7 @@ func TestTable8Exhaustive(t *testing.T) {
 				gs := fast.ToFloat64(fast.Sqrt(fa))
 				ws := slow.ToFloat64(slow.Sqrt(arith.Num(a)))
 				if math.Float64bits(gs) != math.Float64bits(ws) && !(math.IsNaN(gs) && math.IsNaN(ws)) {
-					t.Fatalf("Sqrt(%#x): table %g, pipeline %g", a, gs, ws)
+					t.Fatalf("Sqrt(%#x): fast %g, pipeline %g", a, gs, ws)
 				}
 				for b := 0; b < 256; b++ {
 					vb := slow.ToFloat64(arith.Num(b))
@@ -206,7 +247,7 @@ func TestTable8Exhaustive(t *testing.T) {
 						gv, wv := fast.ToFloat64(g), slow.ToFloat64(w)
 						if math.Float64bits(gv) != math.Float64bits(wv) &&
 							!(math.IsNaN(gv) && math.IsNaN(wv)) {
-							t.Fatalf("%s(%#x,%#x): table %g, pipeline %g", op, a, b, gv, wv)
+							t.Fatalf("%s(%#x,%#x): fast %g, pipeline %g", op, a, b, gv, wv)
 						}
 					}
 					check("Add", fast.Add(fa, fb), slow.Add(arith.Num(a), arith.Num(b)))
@@ -275,10 +316,10 @@ func TestDivKernelInstrumented(t *testing.T) {
 
 // TestTableRegistrySingleflight forgets a spec's registry entry, then
 // hammers its first use from many goroutines, split across two format
-// values of the spec: exactly one build must happen, both values must
-// share the same tables, every caller must see the same results, and
-// the run must be race-clean (asserted under -race, and repeated by
-// make stress).
+// values of the spec: exactly one inline-table build must happen, both
+// values must share the one table, every caller must see the same
+// results, and the run must be race-clean (asserted under -race, and
+// repeated by make stress).
 func TestTableRegistrySingleflight(t *testing.T) {
 	c := posit.MustNew(12, 1) // no other test uses posit(12,1)
 	arith.ForgetTablesForTest(arith.PositTableSpec(c))
@@ -308,11 +349,11 @@ func TestTableRegistrySingleflight(t *testing.T) {
 	}
 	tab0, ok0 := arith.TablesOf(fs[0])
 	tab1, ok1 := arith.TablesOf(fs[1])
-	if !ok0 || !ok1 || tab0.Spec() != arith.PositTableSpec(c) {
-		t.Fatalf("TablesOf after build: ok=%v,%v spec=%q", ok0, ok1, tab0.Spec())
+	if !ok0 || !ok1 || tab0 == nil {
+		t.Fatalf("TablesOf after build: ok=%v,%v table %p", ok0, ok1, tab0)
 	}
 	if tab0 != tab1 {
-		t.Errorf("two FastPosit values of %s hold different tables", tab0.Spec())
+		t.Errorf("two FastPosit values of %s hold different tables", c)
 	}
 	named, _ := arith.TablesOf(arith.MustByName("posit16es1"))
 	if paper, _ := arith.TablesOf(arith.Posit16e1); paper != named {
@@ -323,7 +364,7 @@ func TestTableRegistrySingleflight(t *testing.T) {
 // TestWideEngineSingleflight is TestTableRegistrySingleflight for a
 // posit wider than 16 bits: constructing format values builds nothing,
 // parallel first use of two values of one spec builds exactly one
-// engine, and both values hold it, as arith.Posit32e2 and
+// inline table, and both values hold it, as arith.Posit32e2 and
 // MustByName("posit32es2") do.
 func TestWideEngineSingleflight(t *testing.T) {
 	c := posit.MustNew(28, 3) // not a registry format; no other test uses it
@@ -331,10 +372,10 @@ func TestWideEngineSingleflight(t *testing.T) {
 	before := arith.TableBuildCount()
 	fs := [2]arith.Format{arith.FastPosit(c), arith.FastPosit(c)}
 	if d := arith.TableBuildCount() - before; d != 0 {
-		t.Fatalf("constructing two %s values built %d engines, want 0", c, d)
+		t.Fatalf("constructing two %s values built %d tables, want 0", c, d)
 	}
-	if e := arith.EngineForTest(fs[0]); e != nil {
-		t.Fatalf("%s holds an engine before its first operation", c)
+	if h := arith.HeldTableForTest(fs[0]); h != nil {
+		t.Fatalf("%s holds a table before its first operation", c)
 	}
 	const workers = 24
 	results := make([]arith.Num, workers)
@@ -358,87 +399,29 @@ func TestWideEngineSingleflight(t *testing.T) {
 			t.Errorf("worker %d saw %v, worker 0 saw %v", w, results[w], results[0])
 		}
 	}
-	if e0, e1 := arith.EngineForTest(fs[0]), arith.EngineForTest(fs[1]); e0 == nil || e0 != e1 {
-		t.Errorf("two FastPosit values of %s hold engines %p and %p, want one", c, e0, e1)
+	if h0, h1 := arith.HeldTableForTest(fs[0]), arith.HeldTableForTest(fs[1]); h0 == nil || h0 != h1 {
+		t.Errorf("two FastPosit values of %s hold tables %p and %p, want one", c, h0, h1)
 	}
 	named := arith.MustByName("posit32es2")
 	arith.Posit32e2.FromFloat64(1)
 	named.FromFloat64(1)
-	if arith.EngineForTest(arith.Posit32e2) != arith.EngineForTest(named) {
-		t.Error("arith.Posit32e2 and MustByName(\"posit32es2\") hold different engines")
+	if arith.HeldTableForTest(arith.Posit32e2) != arith.HeldTableForTest(named) {
+		t.Error("arith.Posit32e2 and MustByName(\"posit32es2\") hold different tables")
 	}
 }
 
-// TestTablesMemBytes checks that MemBytes counts every table a build
-// keeps: 2^w decoded values, the cuts, the inline rounding table (2048
-// {add, mask, match, par} entries) and the per-binade search bounds
-// (2049 uint16).
+// TestTablesMemBytes checks that MemBytes counts the one table a fast
+// format keeps, its inline rounding table: 2048 {add, mask, match,
+// par} entries of 32 bytes, 65536 B for every fast format.
 func TestTablesMemBytes(t *testing.T) {
-	for _, tf := range tabbedFormats(t) {
-		tab, _ := arith.TablesOf(tf.fast)
-		n := 1 << tab.Width()
-		want := n*8 + len(arith.CutsForTest(tab))*8 + 2048*32 + 2049*2
-		if got := tab.MemBytes(); got != want {
-			t.Errorf("%s: MemBytes = %d, want %d", tf.name, got, want)
+	fasts, _ := refFormats()
+	for _, f := range fasts {
+		tab, ok := arith.TablesOf(f)
+		if !ok {
+			t.Fatalf("%s: TablesOf ok = false", f.Name())
 		}
-	}
-	// posit8es0 by hand: 256 decoded values (2048 B), 129 cuts
-	// (1032 B), the inline table (65536 B) and the search bounds
-	// (4098 B).
-	tab, _ := arith.TablesOf(arith.MustByName("posit8es0"))
-	if got := tab.MemBytes(); got != 72714 {
-		t.Errorf("posit8es0: MemBytes = %d, want 72714", got)
-	}
-}
-
-// plainSearch is the boundary search without the per-binade index: a
-// binary search over the whole table for the largest p with
-// cut[p] <= a. It is the oracle of TestTablesLocateIndex.
-func plainSearch(cut []uint64, a uint64) uint32 {
-	lo, hi := uint32(0), uint32(len(cut)-1)
-	for lo < hi {
-		m := (lo + hi + 1) >> 1
-		if cut[m] <= a {
-			lo = m
-		} else {
-			hi = m - 1
+		if got := tab.MemBytes(); got != 65536 {
+			t.Errorf("%s: MemBytes = %d, want 65536", f.Name(), got)
 		}
-	}
-	return lo
-}
-
-// TestTablesLocateIndex checks the per-binade bound of the boundary
-// search: for every tabled format, the bounded search returns what the
-// plain binary search returns at every boundary, one bit pattern on
-// either side of it, and the first and last float64 of every binade.
-// It runs on the registry's tables and on freshly built ones.
-func TestTablesLocateIndex(t *testing.T) {
-	for _, tf := range tabbedFormats(t) {
-		t.Run(tf.name, func(t *testing.T) {
-			reg, _ := arith.TablesOf(tf.fast)
-			for _, src := range []struct {
-				name string
-				tab  *arith.Tables
-			}{{"registry", reg}, {"fresh", arith.BuildTablesForTest(tf.fast)}} {
-				t.Run(src.name, func(t *testing.T) {
-					cut := arith.CutsForTest(src.tab)
-					var probes []uint64
-					for _, c := range cut {
-						probes = append(probes, c-1, c, c+1)
-					}
-					for e := uint64(0); e < 2048; e++ {
-						probes = append(probes, e<<52, e<<52|(1<<52-1))
-					}
-					for _, a := range probes {
-						if a >= 1<<63 {
-							continue // cut[0]-1 wraps; magnitudes only
-						}
-						if got, want := arith.SearchForTest(src.tab, a), plainSearch(cut, a); got != want {
-							t.Fatalf("search(%#x) = %d, plain binary search = %d", a, got, want)
-						}
-					}
-				})
-			}
-		})
 	}
 }

@@ -7,14 +7,14 @@ import (
 	"positlab/internal/arith"
 )
 
-// The sum sites of the table engine (Add/Sub and the Dot, Axpy,
-// MulAdd, TrailingUpdate and MatVec kernels) settle a float64 sum that
-// lands exactly on a rounding boundary inline, by the TwoSum residual;
-// a quotient there (Div, DivKernel) goes to the engine, which rounds it
-// as an exact value, since only an exact quotient lands on a boundary.
-// These tests aim operand pairs at rounding boundaries in every binade
-// of every tabled format and check each site against the integer
-// pipeline.
+// The sum sites of a fast format (Add/Sub and the Dot, Axpy, MulAdd,
+// TrailingUpdate and MatVec kernels) settle a float64 sum that lands
+// exactly on a rounding boundary with a zero TwoSum residual inline,
+// and give any other such sum to the reference; a quotient there (Div,
+// DivKernel) leaves the inline step too, and in a format of at most 16
+// bits it is exact, a genuine tie. These tests aim operand pairs at the
+// rounding boundaries (refCut) in every binade of every fast format of
+// at most 16 bits and check each site against the integer pipeline.
 
 // boundaryPairs returns operand pairs (v, h) of format values aimed at
 // the rounding boundaries B next to positive finite patterns v: h = B-v
@@ -24,21 +24,22 @@ import (
 // The patterns taken are every one at either end of its binade (all of
 // them in the region scales) and every seventh in between, which meets
 // every kept-bit parity and position class without all 2^16.
-func boundaryPairs(tab *arith.Tables) (vs, hs []float64) {
-	cut := arith.CutsForTest(tab)
+func boundaryPairs(ref arith.Format) (vs, hs []float64) {
+	cut := refCuts(ref)
 	maxPat := len(cut) - 2
+	value := func(p int) float64 { return ref.ToFloat64(arith.Num(p)) }
 	// exact returns the positive pattern of magnitude m, if m is a
 	// format value.
 	exact := func(m float64) (int, bool) {
-		q := int(tab.Encode(m))
-		return q, q >= 1 && q <= maxPat && tab.Decode(uint16(q)) == m
+		q := int(ref.FromFloat64(m))
+		return q, q >= 1 && q <= maxPat && value(q) == m
 	}
-	binade := func(p int) uint64 { return math.Float64bits(tab.Decode(uint16(p))) >> 52 }
+	binade := func(p int) uint64 { return math.Float64bits(value(p)) >> 52 }
 	for p := 1; p <= maxPat; p++ {
 		if p%7 != 0 && binade(p-1) == binade(p) && binade(p) == binade(p+1) {
 			continue
 		}
-		v := tab.Decode(uint16(p))
+		v := value(p)
 		for _, c := range []int{p, p + 1} {
 			b := math.Float64frombits(cut[c])
 			if math.IsInf(b, 0) {
@@ -53,7 +54,7 @@ func boundaryPairs(tab *arith.Tables) (vs, hs []float64) {
 				if hq < 1 || hq > maxPat {
 					continue
 				}
-				hm := math.Copysign(tab.Decode(uint16(hq)), h)
+				hm := math.Copysign(value(hq), h)
 				vs = append(vs, v, -v)
 				hs = append(hs, hm, -hm)
 			}
@@ -116,10 +117,9 @@ func checkAddSites(t *testing.T, f arith.Format, v, h []arith.Num, want []float6
 // near side. DotKernel and MatVecKernel see each pair as a two-term
 // reduction against ones, so the running sum meets the same boundary.
 func TestSumBoundaryTies(t *testing.T) {
-	for _, tf := range tabbedFormats(t) {
+	for _, tf := range narrowFormats(t) {
 		t.Run(tf.name, func(t *testing.T) {
-			tab, _ := arith.TablesOf(tf.fast)
-			vs, hs := boundaryPairs(tab)
+			vs, hs := boundaryPairs(tf.slow)
 			if len(vs) == 0 {
 				t.Fatal("no boundary pairs")
 			}
@@ -160,16 +160,29 @@ func TestSumBoundaryTies(t *testing.T) {
 // s while the exact sum lies just below or above it. Only an addend
 // that is not a format value can do this (for two format values the
 // sum is exact there), and only the sites that add an operand directly
-// see one; they must take the side from the TwoSum residual. The exact
-// sum rounds like every real strictly between s and its float64
-// neighbor on d's side, so the pipeline's rounding of that neighbor is
-// the oracle.
+// see one. A nonzero TwoSum residual does not settle such a sum
+// inline: every site must give the pipeline's Add of the operands as
+// the format holds them (the raw addend rounded to its format value),
+// as a wide posit's sites do (TestWideSumTies).
+//
+// Where the format holds a value x = −u·(1+2^-k), u = ±ulp(s), the
+// raw addend is also put one float64 past s, at s+u, which the format
+// holds as the pattern beyond the boundary, and x brings the float64
+// sum back onto s: the held operands' sum then rounds to that pattern,
+// whichever pattern is even.
 func TestSumResidualSide(t *testing.T) {
-	for _, tf := range tabbedFormats(t) {
+	beyond := 0
+	for _, tf := range narrowFormats(t) {
 		t.Run(tf.name, func(t *testing.T) {
-			tab, _ := arith.TablesOf(tf.fast)
-			pv, ph := boundaryPairs(tab)
+			pv, ph := boundaryPairs(tf.slow)
 			var vs, hs, want []float64
+			add := func(v, h float64) {
+				vs, hs = append(vs, v), append(hs, h)
+				w := tf.slow.Add(tf.slow.FromFloat64(v), tf.slow.FromFloat64(h))
+				want = append(want, tf.slow.ToFloat64(w))
+			}
+			held := func(v float64) bool { return tf.slow.ToFloat64(tf.slow.FromFloat64(v)) == v }
+			seen := map[float64]bool{}
 			for i := range pv {
 				s := pv[i] + ph[i]
 				quarter := (math.Nextafter(math.Abs(s), math.Inf(1)) - math.Abs(s)) / 4
@@ -178,10 +191,19 @@ func TestSumResidualSide(t *testing.T) {
 					if hd-ph[i] != d || pv[i]+hd != s {
 						continue // h+d not exact, or the sum leaves s
 					}
-					vs = append(vs, pv[i])
-					hs = append(hs, hd)
-					w := tf.slow.FromFloat64(math.Nextafter(s, math.Copysign(math.Inf(1), d)))
-					want = append(want, tf.slow.ToFloat64(w))
+					add(pv[i], hd)
+				}
+				if seen[s] {
+					continue
+				}
+				seen[s] = true
+				u := math.Copysign(4*quarter, s)
+				for k := 2; k <= 8; k++ {
+					if x := -u * (1 + math.Ldexp(1, -k)); held(x) && x+(s+u) == s {
+						add(x, s+u)
+						beyond++
+						break
+					}
 				}
 			}
 			if len(vs) == 0 {
@@ -190,21 +212,26 @@ func TestSumResidualSide(t *testing.T) {
 			checkAddSites(t, tf.fast, raw(vs), raw(hs), want)
 		})
 	}
+	if beyond == 0 {
+		t.Fatal("no raw addend beyond a boundary")
+	}
+	t.Logf("%d raw addends beyond a boundary", beyond)
 }
 
 // quotientTies returns, for every power of two y = 2^k with |k| <=
 // maxK that the format holds, the numerators x = ±B·y that the format
 // holds too, over every rounding boundary B. x/y is B exactly in
 // float64, with a zero FMA remainder: a genuine tie.
-func quotientTies(tab *arith.Tables, maxK int) (ys []float64, xs [][]float64) {
-	held := func(v float64) bool { return tab.Decode(tab.Encode(v)) == v }
+func quotientTies(ref arith.Format, maxK int) (ys []float64, xs [][]float64) {
+	held := func(v float64) bool { return ref.ToFloat64(ref.FromFloat64(v)) == v }
+	cuts := refCuts(ref)[1:]
 	for k := -maxK; k <= maxK; k++ {
 		y := math.Ldexp(1, k)
 		if !held(y) {
 			continue
 		}
 		var row []float64
-		for _, c := range arith.CutsForTest(tab)[1:] {
+		for _, c := range cuts {
 			b := math.Float64frombits(c)
 			if x := b * y; !math.IsInf(b, 0) && held(x) {
 				row = append(row, x, -x)
@@ -221,16 +248,15 @@ func quotientTies(tab *arith.Tables, maxK int) (ys []float64, xs [][]float64) {
 // TestQuotientBoundaryTies drives quotients that land exactly on a
 // rounding boundary through Div and DivKernel and compares with the
 // pipeline's Div: each is a genuine tie, with a zero FMA remainder,
-// which the engine must round to the even pattern. Divisors run over
+// which the off path must round to the even pattern. Divisors run over
 // 2^-32..2^32, which finds every such tie of posit16es0, posit16es1
 // and float16 (about 1 s in all).
 func TestQuotientBoundaryTies(t *testing.T) {
-	for _, tf := range tabbedFormats(t) {
+	for _, tf := range narrowFormats(t) {
 		t.Run(tf.name, func(t *testing.T) {
-			tab, _ := arith.TablesOf(tf.fast)
 			f := tf.fast
 			bk := arith.BulkOf(f)
-			ys, xs := quotientTies(tab, 32)
+			ys, xs := quotientTies(tf.slow, 32)
 			if len(ys) == 0 {
 				t.Fatal("no quotient ties")
 			}
@@ -253,51 +279,4 @@ func TestQuotientBoundaryTies(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestQuotientAndRootCutsExact enumerates, where it can, why the table
-// engine may round a quotient or root on a rounding boundary as an
-// exact value: a float64 root of any value of a tabled format, and a
-// float64 quotient of any two values of an 8-bit format, that lands
-// exactly on a boundary has a zero FMA remainder, so it is exact. (In
-// today's tabled formats no root lands on one at all; the test logs
-// the count.)
-func TestQuotientAndRootCutsExact(t *testing.T) {
-	var roots, quotients int
-	for _, tf := range tabbedFormats(t) {
-		tab, _ := arith.TablesOf(tf.fast)
-		onCut := map[uint64]bool{}
-		for _, c := range arith.CutsForTest(tab)[1:] {
-			if c < 0x7ff<<52 {
-				onCut[c] = true
-			}
-		}
-		hit := func(r float64) bool { return onCut[math.Float64bits(r)&^(1<<63)] }
-		n := 1 << tab.Width()
-		for p := 0; p < n; p++ {
-			x := tab.Decode(uint16(p))
-			if r := math.Sqrt(x); hit(r) {
-				roots++
-				if math.FMA(r, r, -x) != 0 {
-					t.Fatalf("%s: √%g = %g lies on a cut with a nonzero remainder", tf.name, x, r)
-				}
-			}
-			if tab.Width() > 8 {
-				continue
-			}
-			for q := 0; q < n; q++ {
-				y := tab.Decode(uint16(q))
-				if r := x / y; hit(r) {
-					quotients++
-					if math.FMA(r, y, -x) != 0 {
-						t.Fatalf("%s: %g/%g = %g lies on a cut with a nonzero remainder", tf.name, x, y, r)
-					}
-				}
-			}
-		}
-	}
-	if quotients == 0 {
-		t.Fatal("no quotient on a cut")
-	}
-	t.Logf("%d roots and %d quotients on a cut, every one exact", roots, quotients)
 }

@@ -164,11 +164,6 @@ func (s *Server) convert(from, to arith.Format, values []float64) convertRespons
 // already be representable in f (here it always is: x is the rounded
 // Out), so this re-encoding is exact.
 func encodingBits(f arith.Format, x float64) (uint64, int) {
-	if t, ok := arith.TablesOf(f); ok {
-		// Table-backed <=16-bit format: O(1) canonical encode through
-		// the shared lookup-table engine.
-		return uint64(t.Encode(x)), t.Width()
-	}
 	if c, ok := arith.PositConfig(f); ok {
 		return uint64(c.FromFloat64(x)), c.N()
 	}

@@ -350,7 +350,8 @@ func (p plantRunner) Run(ctx context.Context, _ jobs.Job, sink jobs.Sink) ([]byt
 // TestJobUnversionedCheckpointRestarts journals a posit8 CG job with a
 // checkpoint as a positd from before checkpoint versioning wrote it: no
 // version, and posit8 Nums as patterns (the integer pipeline's
-// encoding, which posit8 used before it moved to the lookup tables).
+// encoding, which posit8 used before it moved to the fast value-domain
+// format).
 // The job must run from iteration 0 rather than resume from misread
 // state, and finish with the /v1/solve answer.
 func TestJobUnversionedCheckpointRestarts(t *testing.T) {

@@ -91,8 +91,8 @@ func CholeskyCtx(ctx context.Context, a *linalg.DenseNum) (*linalg.DenseNum, err
 		}
 		rj[j] = piv
 		// Row j of R: R[j][i] = (a[j][i] − Σ_{k<j} R[k][j]·R[k][i]) / pivot,
-		// batched through the format's DivKernel (tabulated or value-
-		// domain for the fast formats). A division overflowing to an
+		// batched through the format's DivKernel (value-domain for the
+		// fast formats). A division overflowing to an
 		// exceptional value is a breakdown, as in the scalar form.
 		bk.DivKernel(piv, rj[j+1:])
 		if linalg.HasBad(f, rj[j+1:]) {
