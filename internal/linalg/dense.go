@@ -34,7 +34,7 @@ func (d *Dense) MatVecF64(x, y []float64) {
 		row := d.A[i*d.N : (i+1)*d.N]
 		s := 0.0
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		y[i] = s
 	}

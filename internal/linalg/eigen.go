@@ -44,7 +44,7 @@ func TridiagEigenvalues(d, e []float64) ([]float64, error) {
 			p := 0.0
 			for i := m - 1; i >= l; i-- {
 				f := s * ee[i]
-				b := c * ee[i]
+				b := float64(c * ee[i])
 				r = math.Hypot(f, g)
 				ee[i+1] = r
 				if r == 0 {
@@ -55,10 +55,10 @@ func TridiagEigenvalues(d, e []float64) ([]float64, error) {
 				s = f / r
 				c = g / r
 				g = dd[i+1] - p
-				r = (dd[i]-g)*s + 2*c*b
-				p = s * r
+				r = float64((dd[i]-g)*s) + float64(2*c*b)
+				p = float64(s * r)
 				dd[i+1] = g + p
-				g = c*r - b
+				g = float64(c*r) - b
 			}
 			if r == 0 && m-1 >= l {
 				continue

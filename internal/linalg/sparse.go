@@ -100,7 +100,7 @@ func (s *Sparse) MatVecF64(x, y []float64) {
 	for i := 0; i < s.N; i++ {
 		sum := 0.0
 		for idx := s.RowPtr[i]; idx < s.RowPtr[i+1]; idx++ {
-			sum += s.Val[idx] * x[s.Col[idx]]
+			sum += float64(s.Val[idx] * x[s.Col[idx]])
 		}
 		y[i] = sum
 	}

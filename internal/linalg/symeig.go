@@ -45,7 +45,7 @@ func SymEigenvalues(a *Dense) ([]float64, error) {
 			} else {
 				for k := 0; k <= l; k++ {
 					w[i][k] /= scale
-					h += w[i][k] * w[i][k]
+					h += float64(w[i][k] * w[i][k])
 				}
 				f := w[i][l]
 				g := math.Sqrt(h)
@@ -53,28 +53,28 @@ func SymEigenvalues(a *Dense) ([]float64, error) {
 					g = -g
 				}
 				e[i] = scale * g
-				h -= f * g
+				h -= float64(f * g)
 				w[i][l] = f - g
 				tau := 0.0
 				p := make([]float64, n)
 				for j := 0; j <= l; j++ {
 					g = 0.0
 					for k := 0; k <= j; k++ {
-						g += w[j][k] * w[i][k]
+						g += float64(w[j][k] * w[i][k])
 					}
 					for k := j + 1; k <= l; k++ {
-						g += w[k][j] * w[i][k]
+						g += float64(w[k][j] * w[i][k])
 					}
 					p[j] = g / h
-					tau += p[j] * w[i][j]
+					tau += float64(p[j] * w[i][j])
 				}
 				hh := tau / (2 * h)
 				for j := 0; j <= l; j++ {
 					f = w[i][j]
-					p[j] -= hh * f
+					p[j] -= float64(hh * f)
 					g = p[j]
 					for k := 0; k <= j; k++ {
-						w[j][k] -= f*p[k] + g*w[i][k]
+						w[j][k] -= float64(f*p[k]) + float64(g*w[i][k])
 					}
 				}
 			}

@@ -130,7 +130,7 @@ func DotF64(x, y []float64) float64 {
 	checkLen(len(x), len(y))
 	s := 0.0
 	for i := range x {
-		s += x[i] * y[i]
+		s += float64(x[i] * y[i])
 	}
 	return s
 }
@@ -148,11 +148,11 @@ func Norm2F64(x []float64) float64 {
 		}
 		if scale < a {
 			r := scale / a
-			ssq = 1 + ssq*r*r
+			ssq = 1 + float64(ssq*r*r)
 			scale = a
 		} else {
 			r := a / scale
-			ssq += r * r
+			ssq += float64(r * r)
 		}
 	}
 	return scale * sqrt(ssq)
@@ -176,6 +176,6 @@ func NormInfF64(x []float64) float64 {
 func AxpyF64(alpha float64, x, y []float64) {
 	checkLen(len(x), len(y))
 	for i := range x {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }

@@ -343,7 +343,11 @@ func (e *jobExecutor) runSolveJob(ctx context.Context, job jobs.Job, sink jobs.S
 			// Another encoding would resume from misread state; the
 			// job runs from iteration 0 instead.
 		case wire.Solver == "cg":
-			h.CG.Resume = wire.cgCheckpoint()
+			// So would a word the job's format cannot hold, such as an
+			// altered journal digit leaves.
+			if f, err := arith.ByName(req.Format); err == nil && wire.cgHeldBy(f) {
+				h.CG.Resume = wire.cgCheckpoint()
+			}
 		case wire.Solver == "ir":
 			h.IR.Resume = wire.irCheckpoint()
 		default:
@@ -525,6 +529,20 @@ func irWire(c *solvers.IRCheckpoint) solveCkptWire {
 		X:       floatsToU64(c.X),
 		Hist:    floatsToU64(c.History),
 	}
+}
+
+// cgHeldBy reports whether every CG word of w (x, r, p and rr) is a
+// value of format f: FromFloat64(ToFloat64(word)) returns the word.
+func (w *solveCkptWire) cgHeldBy(f arith.Format) bool {
+	held := func(u uint64) bool { return f.FromFloat64(f.ToFloat64(arith.Num(u))) == arith.Num(u) }
+	for _, v := range []u64vec{w.X, w.R, w.P, {w.RR}} {
+		for _, u := range v {
+			if !held(u) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (w *solveCkptWire) cgCheckpoint() *solvers.CGCheckpoint {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -347,18 +348,10 @@ func (p plantRunner) Run(ctx context.Context, _ jobs.Job, sink jobs.Sink) ([]byt
 	return nil, ctx.Err()
 }
 
-// TestJobUnversionedCheckpointRestarts journals a posit8 CG job with a
-// checkpoint as a positd from before checkpoint versioning wrote it: no
-// version, and posit8 Nums as patterns (the integer pipeline's
-// encoding, which posit8 used before it moved to the fast value-domain
-// format).
-// The job must run from iteration 0 rather than resume from misread
-// state, and finish with the /v1/solve answer.
-func TestJobUnversionedCheckpointRestarts(t *testing.T) {
-	spec := map[string]any{
-		"matrix_market": laplacianMM(40), "solver": "cg", "format": "posit8es2",
-		"tol": 1e-300, "max_iter": 120, "return_x": true,
-	}
+// firstCGCheckpoint runs CG on spec's system in format f with the
+// job's cadence and returns the first checkpoint it emits.
+func firstCGCheckpoint(t *testing.T, spec map[string]any, f arith.Format) *solvers.CGCheckpoint {
+	t.Helper()
 	a, _, err := mmarket.Read(strings.NewReader(spec["matrix_market"].(string)))
 	if err != nil {
 		t.Fatal(err)
@@ -368,34 +361,35 @@ func TestJobUnversionedCheckpointRestarts(t *testing.T) {
 		ones[i] = 1
 	}
 	a.MatVecF64(ones, b)
-	ref := arith.Posit(posit.Posit8e2)
-	var old *solvers.CGCheckpoint
-	if _, err := solvers.CGCheckpointed(context.Background(), a.ToFormat(ref, false), linalg.VecFromFloat64(ref, b), 1e-300, 120,
+	var first *solvers.CGCheckpoint
+	if _, err := solvers.CGCheckpointed(context.Background(), a.ToFormat(f, false), linalg.VecFromFloat64(f, b), 1e-300, 120,
 		solvers.CGCheckpointOptions{Every: 10, OnCheckpoint: func(c *solvers.CGCheckpoint) error {
-			if old == nil {
-				old = c
+			if first == nil {
+				first = c
 			}
 			return nil
-		}}); err != nil || old == nil {
-		t.Fatalf("reference CG: err=%v, checkpoint %v", err, old != nil)
+		}}); err != nil || first == nil {
+		t.Fatalf("reference CG: err=%v, checkpoint %v", err, first != nil)
 	}
-	wire := cgWire(old)
-	wire.Version = 0 // never written before versioning
+	return first
+}
+
+// requireRestartedJob journals wire as the checkpoint of a job of spec,
+// reopens the store under a server, and requires the job to finish with
+// the /v1/solve answer.
+func requireRestartedJob(t *testing.T, spec map[string]any, wire solveCkptWire) {
+	t.Helper()
 	data, err := json.Marshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(data, []byte(`"v"`)) {
-		t.Fatalf("unversioned checkpoint carries a version: %s", data)
-	}
-
 	dir := t.TempDir()
 	store1, err := jobs.Open(dir, jobs.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	planted := make(chan struct{})
-	pool := jobs.NewPool(store1, plantRunner{data: data, iter: old.Iter, planted: planted}, jobs.PoolConfig{Workers: 1})
+	pool := jobs.NewPool(store1, plantRunner{data: data, iter: wire.Iter, planted: planted}, jobs.PoolConfig{Workers: 1})
 	pool.Start()
 	j, err := pool.Submit(jobKindSolve, []byte(mustJSON(t, spec)), jobs.SubmitOptions{CheckpointEvery: 10})
 	if err != nil {
@@ -405,8 +399,8 @@ func TestJobUnversionedCheckpointRestarts(t *testing.T) {
 	if !pool.Drain(10 * time.Second) {
 		t.Fatal("drain timed out")
 	}
-	if g, _ := store1.Get(j.ID); g.State != jobs.StateQueued || g.CheckpointIter != old.Iter {
-		t.Fatalf("planted job = state=%s ckpt=%d, want queued at %d", g.State, g.CheckpointIter, old.Iter)
+	if g, _ := store1.Get(j.ID); g.State != jobs.StateQueued || g.CheckpointIter != wire.Iter {
+		t.Fatalf("planted job = state=%s ckpt=%d, want queued at %d", g.State, g.CheckpointIter, wire.Iter)
 	}
 	if err := store1.Close(); err != nil {
 		t.Fatal(err)
@@ -429,6 +423,41 @@ func TestJobUnversionedCheckpointRestarts(t *testing.T) {
 	if !reflect.DeepEqual(scrubTiming(t, done.Result), scrubTiming(t, []byte(syncBody))) {
 		t.Fatalf("job result diverges from /v1/solve:\njob  %s\nsync %s", done.Result, syncBody)
 	}
+}
+
+// TestJobUnversionedCheckpointRestarts journals a posit8 CG job with a
+// checkpoint as a positd from before checkpoint versioning wrote it: no
+// version, and posit8 Nums as patterns (the integer pipeline's
+// encoding, which posit8 used before it moved to the fast value-domain
+// format).
+// The job must run from iteration 0 rather than resume from misread
+// state, and finish with the /v1/solve answer.
+func TestJobUnversionedCheckpointRestarts(t *testing.T) {
+	spec := map[string]any{
+		"matrix_market": laplacianMM(40), "solver": "cg", "format": "posit8es2",
+		"tol": 1e-300, "max_iter": 120, "return_x": true,
+	}
+	wire := cgWire(firstCGCheckpoint(t, spec, arith.Posit(posit.Posit8e2)))
+	wire.Version = 0 // never written before versioning
+	if data, err := json.Marshal(wire); err != nil || bytes.Contains(data, []byte(`"v"`)) {
+		t.Fatalf("unversioned checkpoint carries a version: %s (%v)", data, err)
+	}
+	requireRestartedJob(t, spec, wire)
+}
+
+// TestJobCorruptCheckpointWordRestarts journals a Posit(16,1) CG job
+// whose checkpoint has x[0] replaced by 1/3, a value no posit holds, as
+// an altered journal digit would leave it. CG never corrects x, so a
+// resume would return another x: the job must run from iteration 0 and
+// finish with the /v1/solve answer.
+func TestJobCorruptCheckpointWordRestarts(t *testing.T) {
+	spec := map[string]any{
+		"matrix_market": laplacianMM(40), "solver": "cg", "format": "posit16es1",
+		"tol": 1e-300, "max_iter": 120, "return_x": true,
+	}
+	wire := cgWire(firstCGCheckpoint(t, spec, arith.MustByName("posit16es1")))
+	wire.X[0] = math.Float64bits(1.0 / 3)
+	requireRestartedJob(t, spec, wire)
 }
 
 func TestJobMetricsSection(t *testing.T) {

@@ -290,9 +290,10 @@ func lambdaMin(a *linalg.Sparse, rf *linalg.Dense) float64 {
 	}
 	var mu float64
 	w := make([]float64, n)
+	cf := linalg.NewCholF64(rf)
 	for k := 0; k < 40; k++ {
 		copy(w, v)
-		linalg.SolveCholF64(rf, w)
+		cf.Solve(w)
 		nw := linalg.Norm2F64(w)
 		if nw == 0 || math.IsNaN(nw) || math.IsInf(nw, 0) {
 			return math.NaN()

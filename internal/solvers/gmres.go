@@ -65,12 +65,13 @@ func MixedIRGMRES(a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling,
 	}
 	rf := rLow.ToFloat64()
 	res.FactorError = factorErrorF64(ah, rf)
+	cf := linalg.NewCholF64(rf)
 
 	// Preconditioner application: M⁻¹v = µ·R∘(Â⁻¹(R∘v)), the same map
 	// MixedIR uses as its whole correction.
 	applyM := func(v []float64) []float64 {
 		w := make([]float64, n)
-		correction(rf, sc.R, mu, v, w)
+		correction(cf, sc.R, mu, v, w)
 		return w
 	}
 

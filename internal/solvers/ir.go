@@ -111,9 +111,10 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 		return res, nil
 	}
 	// Promote the factor to float64 once, for the factorization error
-	// and the refinement solves.
+	// and the refinement solves, and index its nonzeros for the solves.
 	rf := rLow.ToFloat64()
 	res.FactorError = factorErrorF64(ah, rf)
+	cf := linalg.NewCholF64(rf)
 
 	x := make([]float64, n)
 	r := make([]float64, n)
@@ -158,7 +159,7 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 		if math.IsNaN(eta) || math.IsInf(eta, 0) {
 			return res, nil // diverged
 		}
-		correction(rf, sc.R, mu, r, d)
+		correction(cf, sc.R, mu, r, d)
 		for i := range x {
 			x[i] += d[i]
 		}
@@ -207,9 +208,9 @@ func scaledDense(a *linalg.Sparse, rs []float64, mu float64) *linalg.Dense {
 }
 
 // correction sets d to the refinement correction for residual r: Â·v =
-// μ·R∘r is solved with the float64 factor rf of Â, then d = μ·R∘v maps
+// μ·R∘r is solved with the float64 factor cf of Â, then d = μ·R∘v maps
 // back to the original variables (d = μ·R·Â⁻¹·R·r solves A·d ≈ r).
-func correction(rf *linalg.Dense, rs []float64, mu float64, r, d []float64) {
+func correction(cf *linalg.CholF64, rs []float64, mu float64, r, d []float64) {
 	if rs != nil {
 		for i := range d {
 			d[i] = rs[i] * r[i]
@@ -217,7 +218,7 @@ func correction(rf *linalg.Dense, rs []float64, mu float64, r, d []float64) {
 	} else {
 		copy(d, r)
 	}
-	linalg.SolveCholF64(rf, d)
+	cf.Solve(d)
 	if rs != nil {
 		for i := range d {
 			d[i] = mu * rs[i] * d[i]
