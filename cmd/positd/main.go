@@ -114,6 +114,12 @@ func run(argv []string, stderr io.Writer) int {
 	if *maxQueuedJobs < 1 {
 		return usage("-max-queued-jobs must be >= 1, got %d", *maxQueuedJobs)
 	}
+	if *cgcap < 1 {
+		return usage("-cgcap must be >= 1, got %d", *cgcap)
+	}
+	if *irmax < 1 {
+		return usage("-irmax must be >= 1, got %d", *irmax)
+	}
 
 	opt := experiments.Options{CGCapFactor: *cgcap, IRMaxIter: *irmax}
 	if *matrices != "" {

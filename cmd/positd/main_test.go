@@ -222,6 +222,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"checkpoint-every", []string{"-checkpoint-every", "0"}},
 		{"max-queued-jobs", []string{"-max-queued-jobs", "-3"}},
 		{"cache-entries", []string{"-cache-entries", "0"}},
+		{"cgcap", []string{"-cgcap", "-1"}},
+		{"irmax", []string{"-irmax", "0"}},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer

@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"positlab/internal/arith"
+	"positlab/internal/core"
 	"positlab/internal/matgen"
 )
 
@@ -86,6 +87,19 @@ func (o Options) format(f arith.Format) arith.Format {
 		return f
 	}
 	return arith.Observe(f, o.Ops)
+}
+
+// solve runs cfg in format f on m's system through core.SolveCtx, the
+// dispatcher of positd's solves and jobs, under the run's context and
+// observed by o.Ops. With the caps and tolerances the CLIs accept, its
+// only error is the context's.
+func (o Options) solve(m *matgen.Matrix, cfg core.Config, f arith.Format) (core.Solution, error) {
+	cfg.Format = f.Name()
+	var h core.Hooks
+	if o.Ops != nil {
+		h.Observers = []arith.Observer{o.Ops}
+	}
+	return core.SolveCtx(o.ctx(), core.Problem{A: m.A, B: m.B}, cfg, h)
 }
 
 func (o Options) fill() Options {

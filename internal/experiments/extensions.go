@@ -43,11 +43,12 @@ func init() {
 		ID:    "ext-bicg",
 		Title: "future work: BiCG iterate growth vs CG (§VI)",
 		Run: func(ctx context.Context, env *runner.Env) (*runner.Result, error) {
-			pec, err := ExtBiCGPeclet(nil)
+			opt := optFrom(ctx, env)
+			pec, err := ExtBiCGPeclet(opt, nil)
 			if err != nil {
 				return nil, err
 			}
-			s := RenderExtBiCG(ExtBiCG(optFrom(ctx, env)))
+			s := RenderExtBiCG(ExtBiCG(opt))
 			if err := ctx.Err(); err != nil {
 				return nil, err // canceled: never cache partial rows
 			}
@@ -93,7 +94,7 @@ func fftTestSignal(n int) []float64 {
 	sig := make([]float64, n)
 	for i := range sig {
 		x := float64(i) / float64(n)
-		sig[i] = math.Sin(2*math.Pi*5*x) + 0.5*math.Cos(2*math.Pi*31*x) + 0.25*math.Sin(2*math.Pi*101*x)
+		sig[i] = math.Sin(2*math.Pi*5*x) + float64(0.5*math.Cos(2*math.Pi*31*x)) + float64(0.25*math.Sin(2*math.Pi*101*x))
 	}
 	return sig
 }
@@ -104,8 +105,8 @@ func roundTripErrL2(back []complex128, sig []float64) float64 {
 	var num, den float64
 	for i := range sig {
 		d := real(back[i]) - sig[i]
-		num += d*d + imag(back[i])*imag(back[i])
-		den += sig[i] * sig[i]
+		num += float64(d*d) + float64(imag(back[i])*imag(back[i]))
+		den += float64(sig[i] * sig[i])
 	}
 	return math.Sqrt(num / den)
 }
@@ -337,8 +338,10 @@ func uniformUnitVec(n int) []float64 {
 	return xhat
 }
 
-// ExtBiCGPeclet runs the convection-diffusion sweep (n = 400).
-func ExtBiCGPeclet(peclets []float64) ([]ExtBiCGPecletRow, error) {
+// ExtBiCGPeclet runs the convection-diffusion sweep (n = 400) on
+// opt's observed formats (see Options.Ops). A canceled run returns the
+// context's error and solves nothing more.
+func ExtBiCGPeclet(opt Options, peclets []float64) ([]ExtBiCGPecletRow, error) {
 	if peclets == nil {
 		peclets = []float64{0, 1, 10, 100, 1000}
 	}
@@ -353,8 +356,14 @@ func ExtBiCGPeclet(peclets []float64) ([]ExtBiCGPecletRow, error) {
 		b := make([]float64, n)
 		a.MatVecF64(xhat, b)
 
+		// A canceled run skips its remaining solves (up to 0.4 s each)
+		// and returns the context's error after the row.
 		run := func(f arith.Format, mat *linalg.Sparse, rhs []float64) solvers.BiCGResult {
-			return solvers.BiCG(mat.ToFormat(f, false), linalg.VecFromFloat64(f, rhs), 1e-5, 10*n)
+			if opt.canceled() {
+				return solvers.BiCGResult{}
+			}
+			fi := opt.format(f)
+			return solvers.BiCG(mat.ToFormat(fi, false), linalg.VecFromFloat64(fi, rhs), 1e-5, 10*n)
 		}
 		row := ExtBiCGPecletRow{Peclet: p}
 		r64 := run(arith.Float64, a, b)
@@ -369,6 +378,9 @@ func ExtBiCGPeclet(peclets []float64) ([]ExtBiCGPecletRow, error) {
 		scaling.RescaleSystemCG(a2, b2)
 		rs := run(arith.Posit32e2, a2, b2)
 		row.PositRescaledIters, row.PositRescaledMaxIterate, row.PositRescaledConverged = rs.Iterations, rs.MaxIterate, rs.Converged
+		if err := opt.ctx().Err(); err != nil {
+			return nil, err
+		}
 		rows = append(rows, row)
 	}
 	return rows, nil

@@ -1,9 +1,12 @@
 package experiments_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"positlab/internal/arith"
 	"positlab/internal/experiments"
 )
 
@@ -88,11 +91,16 @@ func TestExtGMRES(t *testing.T) {
 
 // The Peclet sweep is the §VI hypothesis test: float64 BiCG converges,
 // iterates grow with nonsymmetry, and 32-bit formats lose convergence
-// once the transient iterates dwarf the working precision.
+// once the transient iterates dwarf the working precision. The sweep
+// runs on the options' observed formats.
 func TestExtBiCGPeclet(t *testing.T) {
-	rows, err := experiments.ExtBiCGPeclet([]float64{0, 10})
+	var ops arith.AtomicOpCounts
+	rows, err := experiments.ExtBiCGPeclet(experiments.Options{Ops: &ops}, []float64{0, 10})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c := ops.Snapshot(); c.Mul == 0 || c.Conv == 0 {
+		t.Errorf("ops %+v: the sweep's operations went unobserved", c)
 	}
 	if len(rows) != 2 {
 		t.Fatal("row count")
@@ -109,6 +117,20 @@ func TestExtBiCGPeclet(t *testing.T) {
 	}
 	if s := experiments.RenderExtBiCGPeclet(rows); !strings.Contains(s, "Peclet") {
 		t.Error("render missing content")
+	}
+}
+
+// A canceled sweep returns the context's error and runs no solve.
+func TestExtBiCGPecletCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var ops arith.AtomicOpCounts
+	rows, err := experiments.ExtBiCGPeclet(experiments.Options{Ctx: ctx, Ops: &ops}, nil)
+	if !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("canceled sweep: %d rows, err %v; want none and context.Canceled", len(rows), err)
+	}
+	if c := ops.Snapshot(); c != (arith.OpCounts{}) {
+		t.Errorf("canceled sweep ran format arithmetic: %+v", c)
 	}
 }
 

@@ -6,11 +6,9 @@ import (
 	"math"
 
 	"positlab/internal/arith"
-	"positlab/internal/linalg"
+	"positlab/internal/core"
 	"positlab/internal/report"
 	"positlab/internal/runner"
-	"positlab/internal/scaling"
-	"positlab/internal/solvers"
 )
 
 func init() {
@@ -74,26 +72,20 @@ type CGRow struct {
 }
 
 // Fig6 runs unscaled CG on the suite (paper §V-A).
-func Fig6(opt Options) []CGRow { return cgExperiment(opt, false) }
+func Fig6(opt Options) []CGRow { return cgExperiment(opt, core.RescaleNone) }
 
 // Fig7 runs CG after the power-of-two rescaling to ‖A‖∞ ≈ 2^10
 // (paper §V-B).
-func Fig7(opt Options) []CGRow { return cgExperiment(opt, true) }
+func Fig7(opt Options) []CGRow { return cgExperiment(opt, core.RescaleInfNormPow2) }
 
-func cgExperiment(opt Options, rescale bool) []CGRow {
+func cgExperiment(opt Options, rescale core.Rescale) []CGRow {
 	opt = opt.fill()
 	var rows []CGRow
 	for _, m := range suite(opt.Matrices) {
 		if opt.canceled() {
 			return rows
 		}
-		a := m.A
-		b := m.B
-		if rescale {
-			a = m.A.Clone()
-			b = append([]float64(nil), m.B...)
-			scaling.RescaleSystemCG(a, b)
-		}
+		cfg := core.Config{Method: core.MethodCG, Rescale: rescale, Tol: opt.CGTol, MaxIter: opt.CGCapFactor * m.A.N}
 		row := CGRow{
 			Matrix:         m.Target.Name,
 			Norm2:          m.Target.Norm2,
@@ -102,18 +94,12 @@ func cgExperiment(opt Options, rescale bool) []CGRow {
 			Failed:         make([]bool, len(CGFormats)),
 			PctImprovement: map[string]float64{},
 		}
-		cap := opt.CGCapFactor * a.N
 		for i, f := range CGFormats {
-			fi := opt.format(f)
-			an := a.ToFormat(fi, false)
-			bn := linalg.VecFromFloat64(fi, b)
-			res, err := solvers.CGCtx(opt.ctx(), an, bn, opt.CGTol, cap)
+			sol, err := opt.solve(m, cfg, f)
 			if err != nil {
 				return rows // canceled mid-solve; caller reports ctx.Err()
 			}
-			row.Iters[i] = res.Iterations
-			row.Converged[i] = res.Converged
-			row.Failed[i] = res.Failed
+			row.Iters[i], row.Converged[i], row.Failed[i] = sol.Iterations, sol.Converged, sol.Failed
 		}
 		// Percent improvement panels compare posit32 against Float32.
 		f32 := indexOfFormat(CGFormats, "Float32")

@@ -6,11 +6,9 @@ import (
 	"math"
 
 	"positlab/internal/arith"
-	"positlab/internal/linalg"
+	"positlab/internal/core"
 	"positlab/internal/report"
 	"positlab/internal/runner"
-	"positlab/internal/scaling"
-	"positlab/internal/solvers"
 )
 
 func init() {
@@ -71,27 +69,20 @@ type CholRow struct {
 
 // Fig8 runs the unscaled single-precision Cholesky direct solve
 // (paper §V-C1).
-func Fig8(opt Options) []CholRow { return cholExperiment(opt, false) }
+func Fig8(opt Options) []CholRow { return cholExperiment(opt, core.RescaleNone) }
 
 // Fig9 runs Cholesky after Algorithm 3's diagonal-average rescaling
 // (paper §V-C2).
-func Fig9(opt Options) []CholRow { return cholExperiment(opt, true) }
+func Fig9(opt Options) []CholRow { return cholExperiment(opt, core.RescaleDiagAvg) }
 
-func cholExperiment(opt Options, rescale bool) []CholRow {
+func cholExperiment(opt Options, rescale core.Rescale) []CholRow {
 	opt = opt.fill()
 	var rows []CholRow
 	for _, m := range suite(opt.Matrices) {
 		if opt.canceled() {
 			return rows
 		}
-		a := m.A
-		b := m.B
-		if rescale {
-			a = m.A.Clone()
-			b = append([]float64(nil), m.B...)
-			scaling.RescaleSystemCholesky(a, b)
-		}
-		dense := a.ToDense()
+		cfg := core.Config{Method: core.MethodCholesky, Rescale: rescale}
 		row := CholRow{
 			Matrix:          m.Target.Name,
 			Norm2:           m.Target.Norm2,
@@ -99,18 +90,14 @@ func cholExperiment(opt Options, rescale bool) []CholRow {
 			DigitsAdvantage: map[string]float64{},
 		}
 		for i, f := range CholFormats {
-			fi := opt.format(f)
-			an := dense.ToFormat(fi, false)
-			bn := linalg.VecFromFloat64(fi, b)
-			x, err := solvers.CholeskySolveCtx(opt.ctx(), an, bn)
+			sol, err := opt.solve(m, cfg, f)
 			if err != nil {
-				if opt.canceled() {
-					return rows // canceled mid-factorization, not a breakdown
-				}
-				row.BackErr[i] = math.NaN()
-				continue
+				return rows // canceled mid-factorization; caller reports ctx.Err()
 			}
-			row.BackErr[i] = solvers.BackwardError(a, b, linalg.VecToFloat64(f, x))
+			row.BackErr[i] = sol.BackwardError
+			if sol.Failed {
+				row.BackErr[i] = math.NaN() // breakdown, or a solution the format overflowed
+			}
 		}
 		f32 := 0 // CholFormats[0] is Float32
 		for i, f := range CholFormats {

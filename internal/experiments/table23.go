@@ -8,9 +8,9 @@ import (
 	"sync"
 
 	"positlab/internal/arith"
+	"positlab/internal/core"
 	"positlab/internal/report"
 	"positlab/internal/runner"
-	"positlab/internal/scaling"
 	"positlab/internal/solvers"
 )
 
@@ -64,7 +64,7 @@ type IRRow struct {
 // into each 16-bit format (overflow clamped to the largest finite
 // value) and factored there; refinement runs in Float64 (paper §V-D2,
 // first experiment).
-func Table2(opt Options) []IRRow { return irExperiment(opt, false) }
+func Table2(opt Options) []IRRow { return irExperiment(opt, core.RescaleNone) }
 
 // Table3 runs IR after Higham's Algorithm 5 equilibration with the
 // paper's format-aware μ: a power of four near 0.1·max for Float16,
@@ -91,7 +91,7 @@ func Table3(opt Options) []IRRow {
 	if e.done {
 		return e.rows
 	}
-	rows := irExperiment(opt, true)
+	rows := irExperiment(opt, core.RescaleHigham)
 	if opt.canceled() {
 		return rows // partial; the next caller recomputes
 	}
@@ -117,31 +117,24 @@ func (o Options) memoKey() string {
 		strings.Join(o.Matrices, ","), o.CGTol, o.CGCapFactor, o.IRTol, o.IRMaxIter)
 }
 
-func irExperiment(opt Options, higham bool) []IRRow {
+func irExperiment(opt Options, rescale core.Rescale) []IRRow {
 	opt = opt.fill()
 	var rows []IRRow
 	for _, m := range suite(opt.Matrices) {
 		if opt.canceled() {
 			return rows
 		}
+		cfg := core.Config{Method: core.MethodMixedIR, Rescale: rescale, Tol: opt.IRTol, MaxIter: opt.IRMaxIter}
 		row := IRRow{Matrix: m.Target.Name, Res: make([]solvers.IRResult, len(IRFormats))}
-		var r []float64
-		if higham {
-			r = scaling.HighamEquilibrate(m.A, 1e-8, 100)
-		}
 		for i, f := range IRFormats {
-			sc := solvers.IRScaling{}
-			if higham {
-				sc = solvers.IRScaling{R: r, Mu: scaling.MuFor(f)}
-			}
-			res, err := solvers.MixedIRCtx(opt.ctx(), m.A, m.B, opt.format(f), sc, solvers.IROptions{
-				Tol:     opt.IRTol,
-				MaxIter: opt.IRMaxIter,
-			})
+			sol, err := opt.solve(m, cfg, f)
 			if err != nil {
 				return rows // canceled mid-refinement; caller reports ctx.Err()
 			}
-			row.Res[i] = res
+			row.Res[i] = solvers.IRResult{
+				Iterations: sol.Iterations, Converged: sol.Converged, FactorFailed: sol.Failed,
+				FactorError: sol.FactorError, BackwardError: sol.BackwardError, History: sol.History, X: sol.X,
+			}
 		}
 		row.PctDiff = pctDiff(row.Res, opt.IRMaxIter)
 		rows = append(rows, row)

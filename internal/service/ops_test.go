@@ -57,7 +57,7 @@ func TestSolveOpCounts(t *testing.T) {
 				_, err = solvers.CGCheckpointed(ctx, a.ToFormat(fi, false), linalg.VecFromFloat64(fi, b),
 					1e-5, 10*a.N, solvers.CGCheckpointOptions{})
 			case "cholesky":
-				_, err = solvers.CholeskySolveCtx(ctx, a.ToDense().ToFormat(fi, false), linalg.VecFromFloat64(fi, b))
+				_, err = solvers.CholeskySolve(a.ToDense().ToFormat(fi, false), linalg.VecFromFloat64(fi, b))
 			case "ir":
 				_, err = solvers.MixedIRCheckpointed(ctx, a, b, fi, solvers.IRScaling{},
 					solvers.IROptions{}, solvers.IRCheckpointOptions{})

@@ -78,7 +78,7 @@ type IRCheckpoint struct {
 }
 
 // IRCheckpointOptions configures checkpoint emission and resume for
-// MixedIRCheckpointed; the zero value makes it identical to MixedIRCtx.
+// MixedIRCheckpointed; the zero value makes it identical to MixedIR.
 type IRCheckpointOptions struct {
 	// Every emits a checkpoint after every Every completed refinement
 	// passes (<= 0: never).

@@ -173,13 +173,7 @@ func SolveLowerT(r *linalg.DenseNum, b []arith.Num) []arith.Num {
 // substitution) with no refinement, the configuration of the paper's
 // single-precision direct-solver experiments (§IV-D).
 func CholeskySolve(a *linalg.DenseNum, b []arith.Num) ([]arith.Num, error) {
-	return CholeskySolveCtx(context.Background(), a, b)
-}
-
-// CholeskySolveCtx is CholeskySolve with the factorization's
-// cancellation checkpoints (see CholeskyCtx).
-func CholeskySolveCtx(ctx context.Context, a *linalg.DenseNum, b []arith.Num) ([]arith.Num, error) {
-	r, err := CholeskyCtx(ctx, a)
+	r, err := Cholesky(a)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +231,7 @@ func factorErrorF64(a, rf *linalg.Dense) float64 {
 			gi, rkj := g[i*n+i:(i+1)*n], rk[i:]
 			rkj = rkj[:len(gi)]
 			for j := range gi {
-				gi[j] += rki * rkj[j]
+				gi[j] += float64(rki * rkj[j])
 			}
 		}
 	}
@@ -249,8 +243,8 @@ func factorErrorF64(a, rf *linalg.Dense) float64 {
 				s = g[j*n+i]
 			}
 			d := s - a.At(i, j)
-			num += d * d
-			den += a.At(i, j) * a.At(i, j)
+			num += float64(d * d)
+			den += float64(a.At(i, j) * a.At(i, j))
 		}
 	}
 	if den == 0 {

@@ -114,22 +114,22 @@ func TestMixedIRCtxCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := solvers.MixedIRCtx(ctx, a, b, arith.Float16, solvers.IRScaling{}, solvers.IROptions{})
+	_, err := solvers.MixedIRCheckpointed(ctx, a, b, arith.Float16, solvers.IRScaling{}, solvers.IROptions{}, solvers.IRCheckpointOptions{})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("MixedIRCtx: err = %v, want context.Canceled", err)
+		t.Fatalf("MixedIRCheckpointed: err = %v, want context.Canceled", err)
 	}
 
 	plain := solvers.MixedIR(a, b, arith.Float16, solvers.IRScaling{}, solvers.IROptions{})
-	got, err := solvers.MixedIRCtx(context.Background(), a, b, arith.Float16, solvers.IRScaling{}, solvers.IROptions{})
+	got, err := solvers.MixedIRCheckpointed(context.Background(), a, b, arith.Float16, solvers.IRScaling{}, solvers.IROptions{}, solvers.IRCheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Iterations != plain.Iterations || got.Converged != plain.Converged ||
 		got.BackwardError != plain.BackwardError {
-		t.Fatalf("MixedIRCtx diverged from MixedIR: %+v vs %+v", got, plain)
+		t.Fatalf("MixedIRCheckpointed diverged from MixedIR: %+v vs %+v", got, plain)
 	}
 	if len(got.History) == 0 {
-		t.Fatal("MixedIRCtx recorded no backward-error history")
+		t.Fatal("MixedIRCheckpointed recorded no backward-error history")
 	}
 	if got.History[len(got.History)-1] != got.BackwardError {
 		t.Fatalf("final history entry %g != BackwardError %g",

@@ -63,26 +63,44 @@ type IRResult struct {
 // the low format, refinement arithmetic entirely in Float64 (the
 // paper's working precision, §IV-E).
 func MixedIR(a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling, opt IROptions) IRResult {
-	res, _ := MixedIRCtx(context.Background(), a, b, low, sc, opt)
+	res, _ := MixedIRCheckpointed(context.Background(), a, b, low, sc, opt, IRCheckpointOptions{})
 	return res
 }
 
-// MixedIRCtx is MixedIR with cancellation checkpoints in the
+// MixedIRCheckpointed is MixedIR with cancellation checkpoints in the
 // factorization (per pivot column, see CholeskyCtx) and at the top of
-// every refinement iteration: when ctx expires the partial result is
-// returned together with the context's error. Results are
-// bit-identical to MixedIR's when the context never fires.
-func MixedIRCtx(ctx context.Context, a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling, opt IROptions) (IRResult, error) {
-	return MixedIRCheckpointed(ctx, a, b, low, sc, opt, IRCheckpointOptions{})
+// every refinement iteration, and with durable-checkpoint support.
+// When ctx expires the partial result is returned together with the
+// context's error. With ck.Every > 0 it hands the refinement state
+// (current iterate and backward-error history) to ck.OnCheckpoint at
+// that cadence, and with ck.Resume set it refactors the same scaled
+// matrix (deterministic, hence identical) and continues refinement
+// from the checkpointed iterate. Results are bit-identical to an
+// uninterrupted MixedIR run.
+func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling, opt IROptions, ck IRCheckpointOptions) (IRResult, error) {
+	return refine(ctx, a, b, low, sc, opt, ck, nil)
 }
 
-// MixedIRCheckpointed is MixedIRCtx with durable-checkpoint support:
-// with ck.Every > 0 it hands the refinement state (current iterate and
-// backward-error history) to ck.OnCheckpoint at that cadence, and with
-// ck.Resume set it refactors the same scaled matrix (deterministic,
-// hence identical) and continues refinement from the checkpointed
-// iterate. Results are bit-identical to an uninterrupted run.
-func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling, opt IROptions, ck IRCheckpointOptions) (IRResult, error) {
+// MixedIRGMRES runs mixed-precision iterative refinement with
+// left-preconditioned GMRES corrections, the Carson–Higham GMRES-IR
+// scheme: the paper notes (§V-D2) that its Table II failure cases
+// "would be less likely to occur" with GMRES solving the correction
+// equation instead of a plain triangular solve. The low-precision
+// Cholesky factor preconditions a Float64 GMRES that solves each
+// correction equation A·d = r, so a low-quality factorization still
+// yields usable corrections. The factorization, the scaling and the
+// refinement loop are MixedIR's; only the correction solve differs.
+func MixedIRGMRES(a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling, opt IROptions, gopt GMRESOptions) IRResult {
+	gopt = gopt.fill()
+	res, _ := refine(context.Background(), a, b, low, sc, opt, IRCheckpointOptions{}, &gopt)
+	return res
+}
+
+// refine is the refinement loop of MixedIRCheckpointed and
+// MixedIRGMRES. A nil gopt corrects with the triangular solves of the
+// low-precision factor; otherwise GMRES, preconditioned by those
+// solves, computes each correction.
+func refine(ctx context.Context, a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling, opt IROptions, ck IRCheckpointOptions, gopt *GMRESOptions) (IRResult, error) {
 	n := a.N
 	tol := opt.Tol
 	if tol == 0 {
@@ -120,6 +138,13 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 	r := make([]float64, n)
 	ax := make([]float64, n)
 	d := make([]float64, n)
+	// GMRES's preconditioner: M⁻¹v = µ·R∘(Â⁻¹(R∘v)), the map the
+	// triangular correction applies to the residual.
+	precond := func(v []float64) []float64 {
+		w := make([]float64, n)
+		correction(cf, sc.R, mu, v, w)
+		return w
+	}
 	normAF := a.NormFrob()
 	normB := linalg.Norm2F64(b)
 
@@ -144,7 +169,7 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 		for i := range r {
 			r[i] = b[i] - ax[i]
 		}
-		eta := linalg.Norm2F64(r) / (normAF*linalg.Norm2F64(x) + normB)
+		eta := linalg.Norm2F64(r) / (float64(normAF*linalg.Norm2F64(x)) + normB)
 		res.BackwardError = eta
 		res.History = append(res.History, eta)
 		res.Iterations = k - 1
@@ -159,7 +184,11 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 		if math.IsNaN(eta) || math.IsInf(eta, 0) {
 			return res, nil // diverged
 		}
-		correction(cf, sc.R, mu, r, d)
+		if gopt == nil {
+			correction(cf, sc.R, mu, r, d)
+		} else {
+			copy(d, gmresSolve(a, precond, r, *gopt))
+		}
 		for i := range x {
 			x[i] += d[i]
 		}
@@ -178,7 +207,7 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 	for i := range r {
 		r[i] = b[i] - ax[i]
 	}
-	res.BackwardError = linalg.Norm2F64(r) / (normAF*linalg.Norm2F64(x) + normB)
+	res.BackwardError = linalg.Norm2F64(r) / (float64(normAF*linalg.Norm2F64(x)) + normB)
 	res.History = append(res.History, res.BackwardError)
 	res.Converged = res.BackwardError <= tol
 	res.X = x
