@@ -17,9 +17,10 @@
 //	})
 //
 // SolveCtx is the one dispatcher from a Config to a solver run: positd's
-// /v1/solve and its jobs, and shadow.Diagnose, call it with their
-// observers, checkpoint options and phase callback in Hooks, and
-// ParseConfig maps the names they serve to a Config.
+// /v1/solve and its jobs, shadow.Diagnose and the paper's CG, Cholesky
+// and IR experiments call it with their observers, checkpoint options
+// and phase callback in Hooks, and ParseConfig maps the names positd
+// and shadow.Diagnose serve to a Config.
 package core
 
 import (

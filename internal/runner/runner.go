@@ -53,9 +53,11 @@ type Env struct {
 	// Deps holds the results of this spec's declared dependencies
 	// that were part of the same run, keyed by experiment ID.
 	Deps map[string]*Result
-	// Ops, when non-nil, is the job's operation counter; experiments
-	// attach it to their formats with arith.Observe so runs.json can
-	// report per-job arithmetic work. Nil when instrumentation is off.
+	// Ops, when non-nil, is the job's operation counter, so runs.json
+	// can report per-job arithmetic work: the experiments pass it to
+	// core.SolveCtx as an observer hook, or attach it to their formats
+	// with arith.Observe where they call a solver directly. Nil when
+	// instrumentation is off.
 	Ops *arith.AtomicOpCounts
 }
 
