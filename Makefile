@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build inline fma nofma lint test race determinism stress results serve chaos benchcheck bench-runner bench-lint bench-kernels bench-service bench-jobs bench-tables bench-shadow profile
+.PHONY: verify fmt vet build inline fma nofma lint test race determinism stress results serve chaos benchcheck bench-lint bench-kernels bench-jobs bench-tables bench-shadow profile
 
 verify: fmt vet build inline fma nofma lint test race determinism stress
 
@@ -43,7 +43,7 @@ inline:
 # arm64 (unlike amd64) fuse x*y + z into one FMA unless the product is
 # converted explicitly, float64(x*y), and the fused result rounds
 # differently. FMA_PKGS are the packages kept free of such lines.
-FMA_PKGS := ./internal/arith ./internal/matgen ./internal/shadow ./internal/fft ./internal/shocktube ./internal/linalg ./internal/solvers ./internal/experiments
+FMA_PKGS := ./internal/arith ./internal/matgen ./internal/shadow ./internal/fft ./internal/shocktube ./internal/linalg ./internal/solvers ./internal/experiments ./internal/svgplot ./examples/newton
 
 fma:
 	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \
@@ -142,16 +142,9 @@ chaos:
 benchcheck:
 	$(GO) run ./cmd/benchcheck
 
-# Reproduce BENCH_runner.json's timing comparison on a small subset
-# (the checked-in file records the full 19-matrix suite).
-bench-runner:
-	$(GO) build -o /tmp/positlab-experiments ./cmd/experiments
-	time /tmp/positlab-experiments -jobs 1 all >/dev/null
-	time /tmp/positlab-experiments -jobs 4 all >/dev/null
-
-# Reproduce BENCH_kernels.json: the slice-kernel hot loops (dot, CSR
-# matvec, Cholesky of the 1-D Laplacian and of a dense matrix) across
-# formats.
+# Run the slice-kernel benchmarks: the hot loops (dot, CSR matvec,
+# Cholesky of the 1-D Laplacian and of a dense matrix) across formats.
+# perfbench's arith and solvers rungs record the same layers.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Dot1024|MatVec1000|Cholesky200' -benchtime 2s ./internal/linalg/
 
@@ -165,11 +158,10 @@ bench-lint:
 serve:
 	$(GO) run ./cmd/positd -cache .cache/positd
 
-# Reproduce the table-engine rows of BENCH_kernels.json: the 16-bit
-# Cholesky/IR hot paths on the fast formats, the float64 solve of a
-# refinement step on a sparse and a dense 16-bit factor, the one-time
-# inline-table build cost (with resident bytes per format), and the
-# 8-bit posit scalar throughput.
+# Run the fast-format benchmarks: the 16-bit Cholesky/IR hot paths,
+# the float64 solve of a refinement step on a sparse and a dense
+# 16-bit factor, the one-time inline-table build cost (with resident
+# bytes per format), and the 8-bit posit scalar throughput.
 bench-tables:
 	$(GO) test -run '^$$' -bench 'Cholesky200(Graded)?(Float16|BFloat16|Posit16e1|Posit16e2)$$|SolveCholF64' -benchtime 2s ./internal/linalg/
 	$(GO) test -run '^$$' -bench 'MixedIR' -benchtime 2s ./internal/solvers/
@@ -182,13 +174,6 @@ profile:
 	$(GO) test -run '^$$' -bench 'Cholesky200Float16' -benchtime 2s \
 		-cpuprofile /tmp/positlab-cholesky.prof ./internal/linalg/
 	$(GO) tool pprof -top -nodecount 15 /tmp/positlab-cholesky.prof
-
-# Reproduce BENCH_service.json: closed-loop req/s and latency for the
-# serving layer (convert batches and warm cached experiments), plus
-# the Go micro-benchmarks for the same paths.
-bench-service:
-	POSITLAB_BENCH_SERVICE=1 $(GO) test -run TestWriteServiceBenchReport ./internal/service/
-	$(GO) test -run '^$$' -bench 'BenchmarkService' -benchtime 2s ./internal/service/
 
 # Reproduce BENCH_shadow.json: shadow-wrapper overhead (off vs default
 # sampling vs full measurement) on the Dot1024 workload and on

@@ -1,6 +1,7 @@
 package positlab_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -277,7 +278,8 @@ func BenchmarkAblationGMRESIR(b *testing.B) {
 	b.Run("gmres-ir", func(b *testing.B) {
 		iters := 0
 		for i := 0; i < b.N; i++ {
-			iters = solvers.MixedIRGMRES(m.A, m.B, f, solvers.IRScaling{}, solvers.IROptions{}, solvers.GMRESOptions{}).Iterations
+			res, _ := solvers.MixedIRGMRES(context.Background(), m.A, m.B, f, solvers.IRScaling{}, solvers.IROptions{}, solvers.GMRESOptions{})
+			iters = res.Iterations
 		}
 		b.ReportMetric(float64(iters), "ir-iters")
 	})

@@ -36,7 +36,7 @@ func cbrt32(a float64) float64 {
 	x := float32(a/3) + 1
 	var last float32
 	for i := 0; i < 60; i++ {
-		next := x - (x*x*x-float32(a))/(3*x*x)
+		next := x - (float32(x*x*x)-float32(a))/(3*x*x)
 		if next == x || next == last {
 			break
 		}

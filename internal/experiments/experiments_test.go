@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -196,6 +197,24 @@ func TestIRTables(t *testing.T) {
 	}
 	if s := experiments.RenderIR(rows3, 1000, true); !strings.Contains(s, "% diff") {
 		t.Error("render missing content")
+	}
+}
+
+// A Table II or III run cut short by its context leaves no memo entry:
+// the next call, under a live context, returns every row.
+func TestIRRowsCanceledNotMemoized(t *testing.T) {
+	experiments.ForgetIRRows()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, table := range []func(experiments.Options) []experiments.IRRow{experiments.Table2, experiments.Table3} {
+		canceled := smallOpt
+		canceled.Ctx = ctx
+		if rows := table(canceled); len(rows) != 0 {
+			t.Errorf("table %d: canceled run returned %d rows", i+2, len(rows))
+		}
+		if rows := table(smallOpt); len(rows) != len(smallOpt.Matrices) {
+			t.Errorf("table %d: live run after a canceled one returned %d rows, want %d", i+2, len(rows), len(smallOpt.Matrices))
+		}
 	}
 }
 

@@ -60,6 +60,10 @@ func init() {
 	runner.Register(runner.Spec{
 		ID:    "ext-gmres",
 		Title: "extension: GMRES-IR vs plain IR corrections (§V-D2)",
+		// ext-gmres's plain-IR column is Table II; scheduling it after
+		// table2 lets it read the memoized rows instead of repeating
+		// every plain refinement solve.
+		Deps: []string{"table2"},
 		Run: func(ctx context.Context, env *runner.Env) (*runner.Result, error) {
 			opt := optFrom(ctx, env)
 			rows := ExtGMRES(opt)
@@ -211,25 +215,26 @@ type ExtGMRESRow struct {
 	Plain, GMRES []solvers.IRResult
 }
 
-// ExtGMRES runs the naive (Table II) configuration with both
-// correction solvers.
+// ExtGMRES runs the naive (Table II) configuration with GMRES
+// corrections and takes the plain-IR cells from Table2's rows, which
+// are in suite order. A canceled run, or a Table II cut short,
+// returns the rows finished so far.
 func ExtGMRES(opt Options) []ExtGMRESRow {
 	opt = opt.fill()
+	plain := Table2(opt)
+	iopt := solvers.IROptions{Tol: opt.IRTol, MaxIter: opt.IRMaxIter}
 	var rows []ExtGMRESRow
-	for _, m := range suite(opt.Matrices) {
-		if opt.canceled() {
+	for i, m := range suite(opt.Matrices) {
+		if i == len(plain) || opt.canceled() {
 			return rows
 		}
-		row := ExtGMRESRow{
-			Matrix: m.Target.Name,
-			Plain:  make([]solvers.IRResult, len(IRFormats)),
-			GMRES:  make([]solvers.IRResult, len(IRFormats)),
-		}
-		for i, f := range IRFormats {
-			fi := opt.format(f)
-			iopt := solvers.IROptions{Tol: opt.IRTol, MaxIter: opt.IRMaxIter}
-			row.Plain[i] = solvers.MixedIR(m.A, m.B, fi, solvers.IRScaling{}, iopt)
-			row.GMRES[i] = solvers.MixedIRGMRES(m.A, m.B, fi, solvers.IRScaling{}, iopt, solvers.GMRESOptions{})
+		row := ExtGMRESRow{Matrix: m.Target.Name, Plain: plain[i].Res, GMRES: make([]solvers.IRResult, len(IRFormats))}
+		for j, f := range IRFormats {
+			res, err := solvers.MixedIRGMRES(opt.ctx(), m.A, m.B, opt.format(f), solvers.IRScaling{}, iopt, solvers.GMRESOptions{})
+			if err != nil {
+				return rows // canceled mid-refinement; caller reports ctx.Err()
+			}
+			row.GMRES[j] = res
 		}
 		rows = append(rows, row)
 	}
@@ -280,8 +285,14 @@ func ExtBiCG(opt Options) []ExtBiCGRow {
 		an := a.ToFormat(f, false)
 		bn := linalg.VecFromFloat64(f, b)
 		cap := opt.CGCapFactor * a.N
-		cg := solvers.CG(an, bn, opt.CGTol, cap)
-		bicg := solvers.BiCG(an, bn, opt.CGTol, cap)
+		cg, err := solvers.CGCtx(opt.ctx(), an, bn, opt.CGTol, cap)
+		if err != nil {
+			return rows // canceled mid-solve; caller reports ctx.Err()
+		}
+		bicg, err := solvers.BiCG(opt.ctx(), an, bn, opt.CGTol, cap)
+		if err != nil {
+			return rows
+		}
 		rows = append(rows, ExtBiCGRow{
 			Matrix:         m.Target.Name,
 			CGIters:        cg.Iterations,
@@ -356,14 +367,16 @@ func ExtBiCGPeclet(opt Options, peclets []float64) ([]ExtBiCGPecletRow, error) {
 		b := make([]float64, n)
 		a.MatVecF64(xhat, b)
 
-		// A canceled run skips its remaining solves (up to 0.4 s each)
-		// and returns the context's error after the row.
+		// A canceled run skips its remaining solves, stops the one in
+		// flight at its next iteration, and returns the context's error
+		// after the row.
 		run := func(f arith.Format, mat *linalg.Sparse, rhs []float64) solvers.BiCGResult {
 			if opt.canceled() {
 				return solvers.BiCGResult{}
 			}
 			fi := opt.format(f)
-			return solvers.BiCG(mat.ToFormat(fi, false), linalg.VecFromFloat64(fi, rhs), 1e-5, 10*n)
+			res, _ := solvers.BiCG(opt.ctx(), mat.ToFormat(fi, false), linalg.VecFromFloat64(fi, rhs), 1e-5, 10*n)
+			return res
 		}
 		row := ExtBiCGPecletRow{Peclet: p}
 		r64 := run(arith.Float64, a, b)

@@ -134,6 +134,55 @@ func TestExtBiCGPecletCanceled(t *testing.T) {
 	}
 }
 
+// expiring is a context whose Err reports expiry after its first n
+// calls, so a cancellation lands deterministically inside a solve.
+type expiring struct {
+	context.Context
+	n int
+}
+
+func (c *expiring) Err() error {
+	if c.n > 0 {
+		c.n--
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// ext-gmres and ext-bicg run their solves under the run's context: a
+// canceled run returns no rows and counts no format operation, and a
+// context that expires inside the first matrix's solves stops them
+// there instead of finishing that matrix.
+func TestExtGMRESAndBiCGCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var ops arith.AtomicOpCounts
+	canceled := experiments.Options{Matrices: smallOpt.Matrices, Ctx: ctx, Ops: &ops}
+	if rows := experiments.ExtGMRES(canceled); rows != nil {
+		t.Errorf("canceled ext-gmres returned %d rows", len(rows))
+	}
+	if rows := experiments.ExtBiCG(canceled); rows != nil {
+		t.Errorf("canceled ext-bicg returned %d rows", len(rows))
+	}
+	if c := ops.Snapshot(); c != (arith.OpCounts{}) {
+		t.Errorf("canceled runs ran format arithmetic: %+v", c)
+	}
+
+	// With Table II memoized, the first check of ctx is ext-gmres's
+	// between matrices; the second is inside the first solve.
+	experiments.Table2(smallOpt)
+	midGMRES := smallOpt
+	midGMRES.Ctx = &expiring{context.Background(), 1}
+	if rows := experiments.ExtGMRES(midGMRES); rows != nil {
+		t.Errorf("ext-gmres finished %d rows past its deadline", len(rows))
+	}
+	midBiCG := smallOpt
+	midBiCG.Ctx = &expiring{context.Background(), 1}
+	if rows := experiments.ExtBiCG(midBiCG); rows != nil {
+		t.Errorf("ext-bicg finished %d rows past its deadline", len(rows))
+	}
+}
+
 func TestExtBiCG(t *testing.T) {
 	rows := experiments.ExtBiCG(smallOpt)
 	if len(rows) != 2 {

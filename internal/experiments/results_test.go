@@ -20,25 +20,31 @@ import (
 // the float64 Cholesky behind CondViaCholesky too. The run is
 // instrumented, and each job's operation counts must equal wantOps:
 // a refactor that keeps the rows but adds, drops or reorders format
-// arithmetic or conversions fails here. Table3 memoizes its rows per
-// process, and a job that reuses them counts no operations, so the
-// test drops the memo first.
+// arithmetic or conversions fails here. ext-gmres runs too, for its
+// operation counts only (it writes no CSV): it reads its plain-IR
+// cells from table2's memoized rows and factors once per (matrix,
+// format) for its GMRES-IR runs, whose refinement is unobserved
+// float64, so its counts are table2's. The Table II/III rows are
+// memoized per process, and a job that reuses them counts no
+// operations, so the test drops the memo first.
 func TestResultsByteIdentical(t *testing.T) {
-	experiments.ForgetTable3()
+	experiments.ForgetIRRows()
 	matrices := []string{"bcsstk01", "bcsstk02", "bcsstk22", "lund_a", "lund_b", "nos1"}
 	ids := []string{"table1", "fig6", "fig7", "fig8", "fig9", "table2", "table3"}
 	chol := arith.OpCounts{Add: 11345238, Sub: 372924, Mul: 11718162, Div: 191160, Sqrt: 2349, Conv: 377622}
+	table2 := arith.OpCounts{Add: 6125530, Mul: 6125530, Div: 102338, Sqrt: 1283, Conv: 375273}
 	wantOps := map[string]arith.OpCounts{
-		"table1": {},
-		"fig6":   {Add: 24760684, Mul: 24760684, Div: 17740, Conv: 55224},
-		"fig7":   {Add: 20655888, Mul: 20655888, Div: 14438, Conv: 55224},
-		"fig8":   chol,
-		"fig9":   chol,
-		"table2": {Add: 6125530, Mul: 6125530, Div: 102338, Sqrt: 1283, Conv: 375273},
-		"table3": {Add: 11345238, Mul: 11345238, Div: 186462, Sqrt: 2349, Conv: 375273},
+		"table1":    {},
+		"fig6":      {Add: 24760684, Mul: 24760684, Div: 17740, Conv: 55224},
+		"fig7":      {Add: 20655888, Mul: 20655888, Div: 14438, Conv: 55224},
+		"fig8":      chol,
+		"fig9":      chol,
+		"table2":    table2,
+		"table3":    {Add: 11345238, Mul: 11345238, Div: 186462, Sqrt: 2349, Conv: 375273},
+		"ext-gmres": table2,
 	}
 	opt := experiments.Options{Matrices: matrices, CGCapFactor: 10, IRMaxIter: 1000}
-	results, rep, err := runner.Default.Run(context.Background(), ids, runner.Config{Jobs: 2, Options: opt, Instrument: true})
+	results, rep, err := runner.Default.Run(context.Background(), append(ids, "ext-gmres"), runner.Config{Jobs: 2, Options: opt, Instrument: true})
 	if err != nil {
 		t.Fatal(err)
 	}

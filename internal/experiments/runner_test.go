@@ -26,8 +26,10 @@ func TestRegisteredSpecsCoverCLI(t *testing.T) {
 			t.Errorf("experiment %q not registered", id)
 		}
 	}
-	if s, _ := runner.Default.Lookup("fig10"); !reflect.DeepEqual(s.Deps, []string{"table3"}) {
-		t.Errorf("fig10.Deps = %v, want [table3]", s.Deps)
+	for id, dep := range map[string]string{"fig10": "table3", "ext-gmres": "table2"} {
+		if s, _ := runner.Default.Lookup(id); !reflect.DeepEqual(s.Deps, []string{dep}) {
+			t.Errorf("%s.Deps = %v, want [%s]", id, s.Deps, dep)
+		}
 	}
 }
 

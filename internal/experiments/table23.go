@@ -69,60 +69,56 @@ func Table2(opt Options) []IRRow { return irExperiment(opt, core.RescaleNone) }
 // Table3 runs IR after Higham's Algorithm 5 equilibration with the
 // paper's format-aware μ: a power of four near 0.1·max for Float16,
 // USEED for the posit formats (paper §V-D2, second experiment).
-//
-// Its rows are memoized per option set because Fig10 derives both of
-// its panels from the same runs: when the runner schedules fig10
-// after table3 (a declared dep), the refinement solves happen once.
-func Table3(opt Options) []IRRow {
-	key := opt.fill().memoKey()
-	table3Mu.Lock()
-	e, ok := table3Memo[key]
-	if !ok {
-		e = &table3Entry{}
-		table3Memo[key] = e
-	}
-	table3Mu.Unlock()
-	// Per-entry singleflight with cancellation awareness: a run cut
-	// short by its context must not poison the memo for later callers
-	// (sync.Once would latch the partial rows forever), so completion
-	// is only recorded when the run finished under a live context.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done {
-		return e.rows
-	}
-	rows := irExperiment(opt, core.RescaleHigham)
-	if opt.canceled() {
-		return rows // partial; the next caller recomputes
-	}
-	e.rows, e.done = rows, true
-	return e.rows
-}
+func Table3(opt Options) []IRRow { return irExperiment(opt, core.RescaleHigham) }
 
-type table3Entry struct {
+// irEntry is one slot of the refinement-rows memo.
+type irEntry struct {
 	mu   sync.Mutex
 	done bool
 	rows []IRRow
 }
 
 var (
-	table3Mu   sync.Mutex
-	table3Memo = map[string]*table3Entry{}
+	irMu   sync.Mutex
+	irMemo = map[string]*irEntry{}
 )
 
-// memoKey identifies filled options for in-process memoization. Ops
-// is deliberately excluded: instrumentation does not change rows.
-func (o Options) memoKey() string {
-	return fmt.Sprintf("%s|%g|%d|%g|%d",
+// memoKey identifies a preparation and filled options for in-process
+// memoization. Ops is deliberately excluded: instrumentation does not
+// change rows.
+func (o Options) memoKey(rescale core.Rescale) string {
+	return fmt.Sprintf("%v|%s|%g|%d|%g|%d", rescale,
 		strings.Join(o.Matrices, ","), o.CGTol, o.CGCapFactor, o.IRTol, o.IRMaxIter)
 }
 
+// irExperiment returns the Table II or III rows of one preparation,
+// memoized per preparation and option set: fig10 derives both of its
+// panels from table3's runs and ext-gmres takes its plain-IR column
+// from table2's, so when the runner schedules each after its declared
+// dep, every refinement solve happens once.
 func irExperiment(opt Options, rescale core.Rescale) []IRRow {
 	opt = opt.fill()
+	key := opt.memoKey(rescale)
+	irMu.Lock()
+	e, ok := irMemo[key]
+	if !ok {
+		e = &irEntry{}
+		irMemo[key] = e
+	}
+	irMu.Unlock()
+	// Per-entry singleflight with cancellation awareness: a run cut
+	// short by its context must not poison the memo for later callers
+	// (sync.Once would latch the partial rows forever), so only a run
+	// that solved every cell is recorded.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.done {
+		return e.rows
+	}
 	var rows []IRRow
 	for _, m := range suite(opt.Matrices) {
 		if opt.canceled() {
-			return rows
+			return rows // partial; the next caller recomputes
 		}
 		cfg := core.Config{Method: core.MethodMixedIR, Rescale: rescale, Tol: opt.IRTol, MaxIter: opt.IRMaxIter}
 		row := IRRow{Matrix: m.Target.Name, Res: make([]solvers.IRResult, len(IRFormats))}
@@ -139,6 +135,7 @@ func irExperiment(opt Options, rescale core.Rescale) []IRRow {
 		row.PctDiff = pctDiff(row.Res, opt.IRMaxIter)
 		rows = append(rows, row)
 	}
+	e.rows, e.done = rows, true
 	return rows
 }
 

@@ -32,9 +32,10 @@ import (
 //	         (graceful drain)
 //
 // Replay applies records in order on top of the snapshot. A torn final
-// line — the signature of a crash mid-append — is dropped; everything
-// before it is intact because records are written with a single
-// buffered write followed by fsync.
+// line — the signature of a crash mid-append — is dropped, and Open
+// cuts it off the file before the next append can fuse with it;
+// everything before it is intact because records are written with a
+// single buffered write followed by fsync.
 type rec struct {
 	T       string          `json:"t"`
 	TS      int64           `json:"ts,omitempty"`
@@ -121,9 +122,11 @@ func (j *journal) append(r rec) error {
 
 func (j *journal) close() error { return j.f.Close() }
 
-// truncate resets the journal after a snapshot compaction.
-func (j *journal) truncate() error {
-	if err := j.f.Truncate(0); err != nil {
+// truncate cuts the journal to size bytes: to 0 after a snapshot
+// compaction, or to the end of the last complete record when replay
+// found a torn final line.
+func (j *journal) truncate(size int64) error {
+	if err := j.f.Truncate(size); err != nil {
 		return fmt.Errorf("jobs: truncate journal: %w", err)
 	}
 	// O_APPEND writes reposition automatically; nothing else to do.
@@ -136,20 +139,22 @@ func (j *journal) truncate() error {
 const maxJournalLine = 16 << 20
 
 // replayJournal streams records from dir's journal into apply. It
-// returns the number of applied records and whether a torn tail was
-// dropped. A missing journal is an empty one.
+// returns the number of applied records, whether a torn tail was
+// dropped, and torn: the byte offset past the last complete record
+// when the journal ends in a torn final line (bytes with no newline),
+// or -1. A missing journal is an empty one.
 //
 // A record is applied only if its line is complete (newline-terminated
 // and valid JSON): a crash can tear the final append at any byte, and
 // replay must never act on a half-written record. Because appends go
 // through a single write syscall, only the last line can be torn.
-func replayJournal(fsys faultfs.FS, dir string, apply func(rec)) (records int, truncated bool, err error) {
+func replayJournal(fsys faultfs.FS, dir string, apply func(rec)) (records int, truncated bool, torn int64, err error) {
 	f, err := fsys.Open(filepath.Join(dir, journalName))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return 0, false, nil
+			return 0, false, -1, nil
 		}
-		return 0, false, fmt.Errorf("jobs: open journal for replay: %w", err)
+		return 0, false, -1, fmt.Errorf("jobs: open journal for replay: %w", err)
 	}
 	defer func() {
 		if cerr := f.Close(); cerr != nil && err == nil {
@@ -157,30 +162,32 @@ func replayJournal(fsys faultfs.FS, dir string, apply func(rec)) (records int, t
 		}
 	}()
 	rd := bufio.NewReaderSize(f, 64<<10)
+	var off int64 // bytes read through the last complete line
 	for {
 		line, rerr := rd.ReadBytes('\n')
 		if rerr != nil {
 			// Data without a trailing newline is a torn final append.
 			if len(bytes.TrimSpace(line)) > 0 {
-				return records, true, nil
+				return records, true, off, nil
 			}
 			if errors.Is(rerr, io.EOF) {
-				return records, truncated, nil
+				return records, truncated, -1, nil
 			}
-			return records, false, fmt.Errorf("jobs: replay journal: %w", rerr)
+			return records, false, -1, fmt.Errorf("jobs: replay journal: %w", rerr)
 		}
+		off += int64(len(line))
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
 		if len(line) > maxJournalLine {
-			return records, true, nil
+			return records, true, -1, nil
 		}
 		var r rec
 		if uerr := json.Unmarshal(line, &r); uerr != nil {
 			// A torn line means the process died mid-append; every
 			// complete record before it has already been applied.
-			return records, true, nil
+			return records, true, -1, nil
 		}
 		apply(r)
 		records++

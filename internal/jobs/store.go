@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -108,7 +109,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if snap.Seq > s.seq {
 		s.seq = snap.Seq
 	}
-	records, truncated, err := replayJournal(s.cfg.FS, dir, s.applyLocked)
+	records, truncated, torn, err := replayJournal(s.cfg.FS, dir, s.applyLocked)
 	if err != nil {
 		return nil, err
 	}
@@ -133,6 +134,14 @@ func Open(dir string, cfg Config) (*Store, error) {
 	}
 	if s.j, err = openJournal(s.cfg.FS, dir, s.cfg.NoSync); err != nil {
 		return nil, err
+	}
+	if torn >= 0 {
+		// Left in place, the torn line would fuse with the next append
+		// into one unparsable line, and the next replay would drop
+		// every record from there on.
+		if err := s.j.truncate(torn); err != nil {
+			return nil, errors.Join(err, s.j.close())
+		}
 	}
 	s.recsSince = records
 	if s.recsSince > s.cfg.CompactEvery {
@@ -242,7 +251,7 @@ func (s *Store) compactLocked() {
 		s.journalErrs++
 		return
 	}
-	if err := s.j.truncate(); err != nil {
+	if err := s.j.truncate(0); err != nil {
 		s.journalErrs++
 		return
 	}

@@ -197,6 +197,65 @@ func TestTornJournalTailDropped(t *testing.T) {
 	}
 }
 
+// A submit acknowledged after a torn-tail recovery survives the next
+// reopen byte-equal: Open cuts the torn line off before appending, so
+// the new record cannot fuse with it.
+func TestTornTailRecoveryKeepsNextSubmit(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustSubmit(t, s1, "solve", SubmitOptions{})
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"t":"fail","id":"` + a.ID + `","fin`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s2.ReplayStats().Truncated {
+		t.Fatal("torn tail not reported")
+	}
+	b := mustSubmit(t, s2, "solve", SubmitOptions{})
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3 := mustOpen(t, dir, Config{})
+	if st := s3.ReplayStats(); st.Truncated || st.Records != 2 {
+		t.Fatalf("second replay: %+v, want 2 records and no torn tail", st)
+	}
+	for _, want := range []Job{a, b} {
+		got, ok := s3.Get(want.ID)
+		if !ok {
+			t.Fatalf("acknowledged submit %s lost after the second reopen", want.ID)
+		}
+		gb, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gb) != string(wb) {
+			t.Errorf("job %s after replay:\n got %s\nwant %s", want.ID, gb, wb)
+		}
+	}
+}
+
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir, Config{CompactEvery: 8})

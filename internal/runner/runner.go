@@ -50,9 +50,6 @@ type Env struct {
 	// Options is the run-wide option value supplied by the driver
 	// (for this repo, an experiments.Options). Nil when none was set.
 	Options any
-	// Deps holds the results of this spec's declared dependencies
-	// that were part of the same run, keyed by experiment ID.
-	Deps map[string]*Result
 	// Ops, when non-nil, is the job's operation counter, so runs.json
 	// can report per-job arithmetic work: the experiments pass it to
 	// core.SolveCtx as an observer hook, or attach it to their formats

@@ -89,27 +89,6 @@ func TestSchedulerRespectsDeps(t *testing.T) {
 	}
 }
 
-func TestSchedulerPassesDepResults(t *testing.T) {
-	r := NewRegistry()
-	r.Register(Spec{ID: "base", Run: func(ctx context.Context, env *Env) (*Result, error) {
-		return &Result{Body: "base-body"}, nil
-	}})
-	r.Register(Spec{ID: "top", Deps: []string{"base"}, Run: func(ctx context.Context, env *Env) (*Result, error) {
-		dep := env.Deps["base"]
-		if dep == nil {
-			return nil, errors.New("dep result missing")
-		}
-		return &Result{Body: "saw " + dep.Body}, nil
-	}})
-	results, _, err := r.Run(context.Background(), []string{"top"}, Config{Jobs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results["top"].Body != "saw base-body" {
-		t.Fatalf("top body = %q", results["top"].Body)
-	}
-}
-
 func TestSchedulerRunsIndependentJobsConcurrently(t *testing.T) {
 	r := NewRegistry()
 	const n = 4

@@ -35,14 +35,6 @@ type Config struct {
 	Events func(Event)
 }
 
-// readyJob is one dispatchable job: its spec plus a snapshot of its
-// dependencies' results, taken by the coordinator so workers never
-// touch the shared results map.
-type readyJob struct {
-	spec Spec
-	deps map[string]*Result
-}
-
 // jobDone carries one finished job from a worker to the coordinator.
 type jobDone struct {
 	id     string
@@ -102,32 +94,20 @@ func (r *Registry) Run(ctx context.Context, ids []string, cfg Config) (map[strin
 		}
 	}
 
-	readyCh := make(chan readyJob, len(order))
+	readyCh := make(chan Spec, len(order))
 	doneCh := make(chan jobDone)
 	for i := 0; i < workers; i++ {
 		go func() {
-			for j := range readyCh {
-				doneCh <- runJob(ctx, j, cfg, emit)
+			for s := range readyCh {
+				doneCh <- runJob(ctx, s, cfg, emit)
 			}
 		}()
-	}
-
-	// enqueue snapshots the job's dep results (the coordinator owns
-	// the results map; workers only see these per-job copies).
-	enqueue := func(s Spec) {
-		deps := map[string]*Result{}
-		for _, d := range s.Deps {
-			if res, ok := results[d]; ok {
-				deps[d] = res
-			}
-		}
-		readyCh <- readyJob{spec: s, deps: deps}
 	}
 
 	// Seed initially-ready jobs in topological order.
 	for _, id := range order {
 		if indeg[id] == 0 {
-			enqueue(specs[id])
+			readyCh <- specs[id]
 		}
 	}
 
@@ -154,7 +134,7 @@ func (r *Registry) Run(ctx context.Context, ids []string, cfg Config) (map[strin
 				finalize(skip)
 				continue
 			}
-			enqueue(specs[dep])
+			readyCh <- specs[dep]
 		}
 	}
 	for finalized < len(order) {
@@ -177,8 +157,7 @@ func (r *Registry) Run(ctx context.Context, ids []string, cfg Config) (map[strin
 
 // runJob executes one spec: cache lookup, run with panic recovery,
 // cache store, events, and report assembly.
-func runJob(ctx context.Context, j readyJob, cfg Config, emit func(Event)) (d jobDone) {
-	s := j.spec
+func runJob(ctx context.Context, s Spec, cfg Config, emit func(Event)) (d jobDone) {
 	jr := JobReport{ID: s.ID, Title: s.Title, Start: time.Now()}
 	defer func() {
 		jr.End = time.Now()
@@ -223,7 +202,7 @@ func runJob(ctx context.Context, j readyJob, cfg Config, emit func(Event)) (d jo
 		}
 	}
 
-	env := &Env{Options: cfg.Options, Deps: j.deps}
+	env := &Env{Options: cfg.Options}
 	if cfg.Instrument {
 		env.Ops = &arith.AtomicOpCounts{}
 	}

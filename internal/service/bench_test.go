@@ -1,16 +1,11 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http/httptest"
-	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"positlab/internal/experiments"
 	"positlab/internal/runner"
@@ -102,130 +97,4 @@ func BenchmarkServiceExperimentWarm(b *testing.B) {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
 	}
-}
-
-// TestWriteServiceBenchReport regenerates BENCH_service.json at the
-// repo root. Gated behind POSITLAB_BENCH_SERVICE=1 so ordinary test
-// runs stay fast; `make bench-service` sets it.
-func TestWriteServiceBenchReport(t *testing.T) {
-	if os.Getenv("POSITLAB_BENCH_SERVICE") != "1" {
-		t.Skip("set POSITLAB_BENCH_SERVICE=1 to regenerate BENCH_service.json")
-	}
-	s := New(Config{
-		RunnerConfig: runner.Config{
-			Options: experiments.Options{Matrices: []string{"bcsstk01"}}.Canonical(),
-		},
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := ts.Client()
-
-	type loadResult struct {
-		Name     string  `json:"name"`
-		Requests int     `json:"requests"`
-		ReqPerS  float64 `json:"req_per_s"`
-		P50MS    float64 `json:"p50_ms"`
-		P99MS    float64 `json:"p99_ms"`
-		Note     string  `json:"note,omitempty"`
-	}
-
-	run := func(name string, duration time.Duration, do func() error, note string) loadResult {
-		var lat []float64
-		start := time.Now()
-		for time.Since(start) < duration {
-			t0 := time.Now()
-			if err := do(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			lat = append(lat, float64(time.Since(t0))/float64(time.Millisecond))
-		}
-		elapsed := time.Since(start).Seconds()
-		sort.Float64s(lat)
-		q := func(p float64) float64 { return lat[int(p*float64(len(lat)-1))] }
-		return loadResult{
-			Name:     name,
-			Requests: len(lat),
-			ReqPerS:  float64(len(lat)) / elapsed,
-			P50MS:    q(0.50),
-			P99MS:    q(0.99),
-			Note:     note,
-		}
-	}
-
-	postFn := func(payload string) func() error {
-		return func() error {
-			resp, err := client.Post(ts.URL+"/v1/convert", "application/json", strings.NewReader(payload))
-			if err != nil {
-				return err
-			}
-			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-				return err
-			}
-			if err := resp.Body.Close(); err != nil {
-				return err
-			}
-			if resp.StatusCode != 200 {
-				return fmt.Errorf("status %d", resp.StatusCode)
-			}
-			return nil
-		}
-	}
-	getExp := func() error {
-		resp, err := client.Get(ts.URL + "/v1/experiments/table2")
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return err
-		}
-		if err := resp.Body.Close(); err != nil {
-			return err
-		}
-		if resp.StatusCode != 200 {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		return nil
-	}
-
-	// Warm the experiment cache outside measurement (the cold request
-	// runs the 16-bit IR solves).
-	warmStart := time.Now()
-	if err := getExp(); err != nil {
-		t.Fatalf("warm-up: %v", err)
-	}
-	warmMS := float64(time.Since(warmStart)) / float64(time.Millisecond)
-
-	results := []loadResult{
-		run("convert batch=1", 3*time.Second, postFn(benchPayload(1)),
-			"single value float64 -> posit32es2; served from the response LRU after the first request"),
-		run("convert batch=256", 3*time.Second, postFn(benchPayload(256)),
-			"256 values float64 -> posit32es2"),
-		run("experiments table2 warm", 3*time.Second, getExp,
-			fmt.Sprintf("suite restricted to bcsstk01 (cold compute took %.0f ms); warm responses come from the in-memory LRU", warmMS)),
-	}
-
-	report := map[string]any{
-		"benchmark": "positd serving layer: single-client closed-loop req/s and latency over httptest (loopback, no network)",
-		"date":      time.Now().UTC().Format("2006-01-02"),
-		"host": map[string]any{
-			"cpus":       runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-			"os":         runtime.GOOS + "/" + runtime.GOARCH,
-			"go":         runtime.Version(),
-		},
-		"runs": results,
-		"cache": map[string]any{
-			"stats": s.Cache().Stats(),
-			"note":  "hits dominate: each load loop repeats one payload, which is the serving pattern the LRU exists for",
-		},
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := "../../BENCH_service.json"
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

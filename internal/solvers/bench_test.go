@@ -1,6 +1,7 @@
 package solvers_test
 
 import (
+	"context"
 	"testing"
 
 	"positlab/internal/arith"
@@ -62,7 +63,7 @@ func BenchmarkGMRESIRFloat16(b *testing.B) {
 	a := laplacian1D(100)
 	_, rhs := onesRHS(a)
 	for i := 0; i < b.N; i++ {
-		res := solvers.MixedIRGMRES(a, rhs, arith.Float16, solvers.IRScaling{}, solvers.IROptions{}, solvers.GMRESOptions{})
+		res, _ := solvers.MixedIRGMRES(context.Background(), a, rhs, arith.Float16, solvers.IRScaling{}, solvers.IROptions{}, solvers.GMRESOptions{})
 		if !res.Converged {
 			b.Fatal("did not converge")
 		}

@@ -1,6 +1,8 @@
 package solvers
 
 import (
+	"context"
+
 	"positlab/internal/arith"
 	"positlab/internal/linalg"
 )
@@ -25,8 +27,10 @@ type BiCGResult struct {
 // matrix's format, with the dual recurrence driven by true Aᵀ
 // products, so general (nonsymmetric) systems are supported — e.g. the
 // convection-diffusion operators of the §VI iterate-growth experiment.
-// Breakdown (zero <r̂,r> or <p̂,Ap>) reports Failed.
-func BiCG(a *linalg.SparseNum, b []arith.Num, tol float64, maxIter int) BiCGResult {
+// Breakdown (zero <r̂,r> or <p̂,Ap>) reports Failed. ctx is checked at
+// the top of every iteration: when it expires the partial result is
+// returned together with the context's error.
+func BiCG(ctx context.Context, a *linalg.SparseNum, b []arith.Num, tol float64, maxIter int) (BiCGResult, error) {
 	f := a.F
 	n := a.N
 
@@ -55,7 +59,7 @@ func BiCG(a *linalg.SparseNum, b []arith.Num, tol float64, maxIter int) BiCGResu
 	if f.Bad(rho) {
 		res.Failed = true
 		res.X = linalg.VecToFloat64(f, x)
-		return res
+		return res, nil
 	}
 	if rr := f.ToFloat64(linalg.Dot(f, r, r)); rr <= thresh {
 		// x₀ = 0 already meets tol (tol ≥ 1, or b = 0): its residual
@@ -63,10 +67,14 @@ func BiCG(a *linalg.SparseNum, b []arith.Num, tol float64, maxIter int) BiCGResu
 		res.Converged = true
 		res.RelResidual = safeRatioSqrt(rr, normB2) //lint:allow xprecision RelResidual is a float64 reporting metric, not iteration state
 		res.X = linalg.VecToFloat64(f, x)
-		return res
+		return res, nil
 	}
 
 	for k := 0; k < maxIter; k++ {
+		if err := ctx.Err(); err != nil {
+			res.X = linalg.VecToFloat64(f, x)
+			return res, err
+		}
 		a.MatVec(p, ap)
 		a.MatVecT(ph, atph)
 		den := linalg.Dot(f, ph, ap)
@@ -107,7 +115,7 @@ func BiCG(a *linalg.SparseNum, b []arith.Num, tol float64, maxIter int) BiCGResu
 		rho = rhoNew
 	}
 	res.X = linalg.VecToFloat64(f, x)
-	return res
+	return res, nil
 }
 
 func safeRatioSqrt(num, den float64) float64 {

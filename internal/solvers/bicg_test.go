@@ -1,6 +1,7 @@
 package solvers_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestBiCGConverges(t *testing.T) {
 	want, b := onesRHS(a)
 	for _, f := range []arith.Format{arith.Float64, arith.Float32, arith.Posit32e2} {
 		an := a.ToFormat(f, false)
-		res := solvers.BiCG(an, linalg.VecFromFloat64(f, b), 1e-5, 10*a.N)
+		res, _ := solvers.BiCG(context.Background(), an, linalg.VecFromFloat64(f, b), 1e-5, 10*a.N)
 		if res.Failed || !res.Converged {
 			t.Fatalf("%s: %+v", f.Name(), res)
 		}
@@ -38,7 +39,7 @@ func TestBiCGMatchesCGOnSPD(t *testing.T) {
 	an := a.ToFormat(f, false)
 	bn := linalg.VecFromFloat64(f, b)
 	cg := solvers.CG(an, bn, 1e-5, 10*a.N)
-	bicg := solvers.BiCG(an, bn, 1e-5, 10*a.N)
+	bicg, _ := solvers.BiCG(context.Background(), an, bn, 1e-5, 10*a.N)
 	if !cg.Converged || !bicg.Converged {
 		t.Fatal("both must converge")
 	}
@@ -73,7 +74,7 @@ func TestBiCGNonsymmetric(t *testing.T) {
 	b := make([]float64, n)
 	a.MatVecF64(want, b)
 	f := arith.Float64
-	res := solvers.BiCG(a.ToFormat(f, false), linalg.VecFromFloat64(f, b), 1e-10, 20*n)
+	res, _ := solvers.BiCG(context.Background(), a.ToFormat(f, false), linalg.VecFromFloat64(f, b), 1e-10, 20*n)
 	if res.Failed || !res.Converged {
 		t.Fatalf("%+v", res)
 	}
@@ -90,7 +91,7 @@ func TestBiCGNonsymmetric(t *testing.T) {
 func TestBiCGZeroRHS(t *testing.T) {
 	a := laplacian1D(10)
 	f := arith.Float64
-	res := solvers.BiCG(a.ToFormat(f, false), linalg.NewVec(f, 10), 1e-5, 100)
+	res, _ := solvers.BiCG(context.Background(), a.ToFormat(f, false), linalg.NewVec(f, 10), 1e-5, 100)
 	if !res.Converged || res.Iterations != 0 {
 		t.Fatalf("zero rhs: %+v", res)
 	}
@@ -108,7 +109,7 @@ func TestBiCGFailurePath(t *testing.T) {
 	for i := range b {
 		b[i] = 1e8
 	}
-	res := solvers.BiCG(a.ToFormat(f, false), linalg.VecFromFloat64(f, b), 1e-5, 100)
+	res, _ := solvers.BiCG(context.Background(), a.ToFormat(f, false), linalg.VecFromFloat64(f, b), 1e-5, 100)
 	if !res.Failed || res.Converged {
 		t.Fatalf("expected failure: %+v", res)
 	}

@@ -136,3 +136,20 @@ func TestMixedIRCtxCancel(t *testing.T) {
 			got.History[len(got.History)-1], got.BackwardError)
 	}
 }
+
+func TestBiCGAndGMRESIRCtxCancel(t *testing.T) {
+	a := laplacian1D(60)
+	_, b := onesRHS(a)
+	an := a.ToFormat(arith.Float64, false)
+	bn := linalg.VecFromFloat64(arith.Float64, b)
+	res, err := solvers.BiCG(&countdownCtx{context.Background(), 5}, an, bn, 1e-12, 10*a.N)
+	if !errors.Is(err, context.DeadlineExceeded) || res.Iterations != 5 {
+		t.Fatalf("countdown ctx: BiCG stopped after %d iterations, err %v; want 5 and deadline exceeded", res.Iterations, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := solvers.MixedIRGMRES(ctx, a, b, arith.Float16, solvers.IRScaling{}, solvers.IROptions{}, solvers.GMRESOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MixedIRGMRES: err = %v, want context.Canceled", err)
+	}
+}

@@ -1,6 +1,7 @@
 package solvers_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestGMRESIRConverges(t *testing.T) {
 	a := laplacian1D(40)
 	want, b := onesRHS(a)
 	for _, f := range []arith.Format{arith.Float16, arith.Posit16e1, arith.Posit16e2} {
-		res := solvers.MixedIRGMRES(a, b, f, solvers.IRScaling{}, solvers.IROptions{}, solvers.GMRESOptions{})
+		res, _ := solvers.MixedIRGMRES(context.Background(), a, b, f, solvers.IRScaling{}, solvers.IROptions{}, solvers.GMRESOptions{})
 		if res.FactorFailed || !res.Converged {
 			t.Fatalf("%s: %+v", f.Name(), res)
 		}
@@ -49,7 +50,7 @@ func TestGMRESIRBeatsPlainIR(t *testing.T) {
 	_, b := onesRHS(a)
 	f := arith.Float16
 	plain := solvers.MixedIR(a, b, f, solvers.IRScaling{}, solvers.IROptions{})
-	gm := solvers.MixedIRGMRES(a, b, f, solvers.IRScaling{}, solvers.IROptions{}, solvers.GMRESOptions{})
+	gm, _ := solvers.MixedIRGMRES(context.Background(), a, b, f, solvers.IRScaling{}, solvers.IROptions{}, solvers.GMRESOptions{})
 	if plain.FactorFailed || gm.FactorFailed {
 		t.Fatal("factorization failed")
 	}
@@ -82,7 +83,7 @@ func TestGMRESIRRescuesStalledIR(t *testing.T) {
 	_, b := onesRHS(a)
 	f := arith.Float16
 	plain := solvers.MixedIR(a, b, f, solvers.IRScaling{}, solvers.IROptions{MaxIter: 200})
-	gm := solvers.MixedIRGMRES(a, b, f, solvers.IRScaling{}, solvers.IROptions{MaxIter: 200}, solvers.GMRESOptions{})
+	gm, _ := solvers.MixedIRGMRES(context.Background(), a, b, f, solvers.IRScaling{}, solvers.IROptions{MaxIter: 200}, solvers.GMRESOptions{})
 	if gm.FactorFailed {
 		t.Fatal("factorization failed")
 	}

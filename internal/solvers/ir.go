@@ -88,12 +88,12 @@ func MixedIRCheckpointed(ctx context.Context, a *linalg.Sparse, b []float64, low
 // equation instead of a plain triangular solve. The low-precision
 // Cholesky factor preconditions a Float64 GMRES that solves each
 // correction equation A·d = r, so a low-quality factorization still
-// yields usable corrections. The factorization, the scaling and the
-// refinement loop are MixedIR's; only the correction solve differs.
-func MixedIRGMRES(a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling, opt IROptions, gopt GMRESOptions) IRResult {
+// yields usable corrections. The factorization, the scaling, the
+// refinement loop and its cancellation checkpoints are
+// MixedIRCheckpointed's; only the correction solve differs.
+func MixedIRGMRES(ctx context.Context, a *linalg.Sparse, b []float64, low arith.Format, sc IRScaling, opt IROptions, gopt GMRESOptions) (IRResult, error) {
 	gopt = gopt.fill()
-	res, _ := refine(context.Background(), a, b, low, sc, opt, IRCheckpointOptions{}, &gopt)
-	return res
+	return refine(ctx, a, b, low, sc, opt, IRCheckpointOptions{}, &gopt)
 }
 
 // refine is the refinement loop of MixedIRCheckpointed and

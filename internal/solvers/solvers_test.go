@@ -1,6 +1,7 @@
 package solvers_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestExactStartVariants(t *testing.T) {
 	a := laplacian1D(10)
 	f, c := arith.Float64, posit.Posit32e2
 	_, b := onesRHS(a)
-	bicg := solvers.BiCG(a.ToFormat(f, false), linalg.VecFromFloat64(f, b), 2, 100)
+	bicg, _ := solvers.BiCG(context.Background(), a.ToFormat(f, false), linalg.VecFromFloat64(f, b), 2, 100)
 	pcg := solvers.PCG(a.ToFormat(f, false), diagOf(f, a), linalg.VecFromFloat64(f, b), 2, 100)
 	quire := newQuireSolver(c, a).Solve(positRHS(c, b), 2, 100)
 	for _, r := range []struct {

@@ -68,8 +68,8 @@ func (p *Plot) SVG() string {
 
 	plotW := float64(w - marginL - marginR)
 	plotH := float64(h - marginT - marginB)
-	sx := func(x float64) float64 { return float64(marginL) + (x-xmin)/(xmax-xmin)*plotW }
-	sy := func(y float64) float64 { return float64(marginT) + (ymax-y)/(ymax-ymin)*plotH }
+	sx := func(x float64) float64 { return float64(marginL) + float64((x-xmin)/(xmax-xmin)*plotW) }
+	sy := func(y float64) float64 { return float64(marginT) + float64((ymax-y)/(ymax-ymin)*plotH) }
 
 	// Frame, ticks and grid.
 	fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%.0f" height="%.0f" fill="none" stroke="#333"/>`+"\n",
@@ -186,7 +186,7 @@ func (c *BarChart) SVG() string {
 	title(&b, w, c.Title)
 	plotW := float64(w - marginL - marginR)
 	plotH := float64(h - marginT - marginB)
-	sy := func(y float64) float64 { return float64(marginT) + (ymax-y)/(ymax-ymin)*plotH }
+	sy := func(y float64) float64 { return float64(marginT) + float64((ymax-y)/(ymax-ymin)*plotH) }
 
 	fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%.0f" height="%.0f" fill="none" stroke="#333"/>`+"\n",
 		marginL, marginT, plotW, plotH)
@@ -206,7 +206,7 @@ func (c *BarChart) SVG() string {
 	slot := plotW / float64(nl)
 	barW := slot * 0.8 / float64(max(ng, 1))
 	for li, label := range c.Labels {
-		x0 := float64(marginL) + slot*float64(li) + slot*0.1
+		x0 := float64(marginL) + float64(slot*float64(li)) + float64(slot*0.1)
 		for gi, gname := range c.GroupOrder {
 			vs := c.Groups[gname]
 			if li >= len(vs) || !valid(vs[li]) {
@@ -216,10 +216,10 @@ func (c *BarChart) SVG() string {
 			yTop := sy(math.Max(v, 0))
 			height := math.Abs(sy(0) - sy(v))
 			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"/>`+"\n",
-				x0+barW*float64(gi), yTop, barW*0.92, height, palette[gi%len(palette)])
+				x0+float64(barW*float64(gi)), yTop, barW*0.92, height, palette[gi%len(palette)])
 		}
 		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="10" text-anchor="end" transform="rotate(-45 %.1f %.1f)">%s</text>`+"\n",
-			x0+slot*0.4, float64(marginT)+plotH+14, x0+slot*0.4, float64(marginT)+plotH+14, escape(label))
+			x0+float64(slot*0.4), float64(marginT)+plotH+14, x0+float64(slot*0.4), float64(marginT)+plotH+14, escape(label))
 	}
 	for gi, gname := range c.GroupOrder {
 		lx := marginL + 12 + 130*gi
@@ -281,7 +281,7 @@ func bounds(vs []float64) (lo, hi float64) {
 		lo, hi = lo-1, hi+1
 	}
 	// A little headroom.
-	pad := (hi - lo) * 0.05
+	pad := float64((hi - lo) * 0.05)
 	return lo - pad, hi + pad
 }
 
